@@ -7,7 +7,6 @@ weighted inequality harnesses).  Every randomized experiment takes an
 explicit seed and reproduces bit-identically.
 """
 
-from ._kernels import USING_NUMBA
 from .torus import (TrigPoly, GridSignal, synthesize, analyze, lp_norm,
                     orlicz_functional, weighted_l2, periodic_square_function_norm,
                     coeffs_close, next_pow2)

@@ -1,20 +1,14 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The numba path is used by default whenever numba imports cleanly.  Set the
-environment variable ``PALEYZYG_NO_NUMBA=1`` before import to force the
-numpy implementations (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``).  Both paths compute identical quantities;
-``tests/test_kernels.py`` pins their agreement.
-"""
-
-import os
+"""Hot numeric kernels, in numpy."""
 
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
 
+# Kept for perfbench/run.py, which records the backend with every result.
+USING_NUMBA = False
 
-def _nudft_numpy(values, points, freqs):
+
+def nudft(values, points, freqs):
     """Nonuniform DFT: out[i] = sum_j values[j] * exp(-2*pi*i*freqs[i]*points[j]).
 
     Dense O(len(freqs) * len(points)) evaluation, blocked to bound memory.
@@ -31,31 +25,7 @@ def _nudft_numpy(values, points, freqs):
     return out
 
 
-def _eval_trig_numpy(freqs, coeffs, points):
-    """out[j] = sum_k coeffs[k] * exp(+2*pi*i*freqs[k]*points[j])."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    freqs = np.ascontiguousarray(freqs, dtype=np.float64)
-    out = np.zeros(points.shape[0], dtype=np.complex128)
-    block = max(1, 8_000_000 // max(points.shape[0], 1))
-    for start in range(0, freqs.shape[0], block):
-        phase = np.exp(1j * _TWO_PI * np.outer(freqs[start:start + block], points))
-        out += coeffs[start:start + block] @ phase
-    return out
-
-
-def _best_phase_pow_numpy(base_vals, char_vals, phases, p):
-    """Among candidate phases, maximise mean |base + phase*char|**p.
-
-    Returns (best_index, best_mean_power).
-    """
-    cand = base_vals[None, :] + phases[:, None] * char_vals[None, :]
-    objs = np.mean(np.abs(cand) ** p, axis=1)
-    b = int(np.argmax(objs))
-    return b, float(objs[b])
-
-
-def _min_sup_phase_numpy(base_vals, char_vals, phases):
+def min_sup_phase(base_vals, char_vals, phases):
     """Among candidate phases, minimise sup |base + phase*char|.
 
     Returns (best_index, best_sup).
@@ -64,115 +34,3 @@ def _min_sup_phase_numpy(base_vals, char_vals, phases):
     sups = np.abs(cand).max(axis=1)
     b = int(np.argmin(sups))
     return b, float(sups[b])
-
-
-USING_NUMBA = False
-
-if os.environ.get("PALEYZYG_NO_NUMBA", "") not in ("1", "true", "yes"):
-    try:
-        import numba
-
-        @numba.njit(cache=True)
-        def _nudft_nb(values, points, freqs):
-            out = np.empty(freqs.shape[0], dtype=np.complex128)
-            for i in range(freqs.shape[0]):
-                acc = 0.0 + 0.0j
-                w = -_TWO_PI * freqs[i]
-                for j in range(points.shape[0]):
-                    ang = w * points[j]
-                    acc += values[j] * complex(np.cos(ang), np.sin(ang))
-                out[i] = acc
-            return out
-
-        @numba.njit(cache=True)
-        def _eval_trig_nb(freqs, coeffs, points):
-            out = np.zeros(points.shape[0], dtype=np.complex128)
-            for k in range(freqs.shape[0]):
-                w = _TWO_PI * freqs[k]
-                c = coeffs[k]
-                for j in range(points.shape[0]):
-                    ang = w * points[j]
-                    out[j] += c * complex(np.cos(ang), np.sin(ang))
-            return out
-
-        @numba.njit(cache=True)
-        def _best_phase_pow_nb(base_vals, char_vals, phases, p):
-            best = -1.0
-            best_i = 0
-            n = base_vals.shape[0]
-            half = p // 2
-            for i in range(phases.shape[0]):
-                ph = phases[i]
-                acc = 0.0
-                for j in range(n):
-                    v = base_vals[j] + ph * char_vals[j]
-                    m2 = v.real * v.real + v.imag * v.imag
-                    acc += m2 ** half
-                acc /= n
-                if acc > best:
-                    best = acc
-                    best_i = i
-            return best_i, best
-
-        @numba.njit(cache=True)
-        def _min_sup_phase_nb(base_vals, char_vals, phases):
-            # track squared magnitudes and abandon a phase as soon as it
-            # exceeds the best sup seen so far
-            best2 = np.inf
-            best_i = 0
-            n = base_vals.shape[0]
-            for i in range(phases.shape[0]):
-                ph = phases[i]
-                sup2 = 0.0
-                for j in range(n):
-                    v = base_vals[j] + ph * char_vals[j]
-                    m2 = v.real * v.real + v.imag * v.imag
-                    if m2 > sup2:
-                        sup2 = m2
-                        if sup2 >= best2:
-                            break
-                if sup2 < best2:
-                    best2 = sup2
-                    best_i = i
-            return best_i, float(np.sqrt(best2))
-
-        def nudft(values, points, freqs):
-            return _nudft_nb(
-                np.ascontiguousarray(values, dtype=np.complex128),
-                np.ascontiguousarray(points, dtype=np.float64),
-                np.ascontiguousarray(freqs, dtype=np.float64),
-            )
-
-        def eval_trig(freqs, coeffs, points):
-            return _eval_trig_nb(
-                np.ascontiguousarray(freqs, dtype=np.float64),
-                np.ascontiguousarray(coeffs, dtype=np.complex128),
-                np.ascontiguousarray(points, dtype=np.float64),
-            )
-
-        def best_phase_pow(base_vals, char_vals, phases, p):
-            if p % 2 != 0:
-                return _best_phase_pow_numpy(base_vals, char_vals, phases, p)
-            return _best_phase_pow_nb(
-                np.ascontiguousarray(base_vals, dtype=np.complex128),
-                np.ascontiguousarray(char_vals, dtype=np.complex128),
-                np.ascontiguousarray(phases, dtype=np.complex128),
-                p,
-            )
-
-        def min_sup_phase(base_vals, char_vals, phases):
-            return _min_sup_phase_nb(
-                np.ascontiguousarray(base_vals, dtype=np.complex128),
-                np.ascontiguousarray(char_vals, dtype=np.complex128),
-                np.ascontiguousarray(phases, dtype=np.complex128),
-            )
-
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-if not USING_NUMBA:
-    nudft = _nudft_numpy
-    eval_trig = _eval_trig_numpy
-    best_phase_pow = _best_phase_pow_numpy
-    min_sup_phase = _min_sup_phase_numpy

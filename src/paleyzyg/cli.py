@@ -12,7 +12,6 @@ import os
 import sys
 
 from . import extremals, growth, multipliers, realline, spectra, zygmund
-from ._kernels import USING_NUMBA
 
 
 class Report:
@@ -256,8 +255,7 @@ def cmd_selftest(args):
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="paleyzyg",
-        description="Numerical experiments around Paley/Zygmund type inequalities "
-                    f"(numba kernels {'on' if USING_NUMBA else 'off'})")
+        description="Numerical experiments around Paley/Zygmund type inequalities")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("paley-check", help="dyadic block sums of a multiplier")

@@ -123,45 +123,44 @@ def sharpness_experiment(n_range, r_list=(0.25, 0.5), oversample=8) -> Sharpness
         lhs_slope=lhs_slope, phi_slopes=phi_slopes, grids=tuple(grids))
 
 
-def ingham_coefficient_magnitudes(c, n_lo, n_hi):
-    n = np.arange(n_lo, n_hi + 1, dtype=float)
-    return 1.0 / (np.sqrt(n) * np.log(n) ** c)
-
-
-def ingham_partial_sum(gamma, c, M) -> TrigPoly:
-    """Partial sum of the modulated series sum_{n >= 2} a_n e^{2 pi i n x}
-    with a_n = e^{2 pi i n (ln n)^gamma} / (n^{1/2} (ln n)^c).
+def _ingham_coefficients(gamma, c, n_lo, n_hi):
+    """Frequencies n_lo..n_hi and the coefficients a_n = e^{2 pi i n (ln n)^gamma}
+    / (n^{1/2} (ln n)^c) of the Ingham series.
 
     Parameters must satisfy 0 < gamma < 1 and (gamma+1)/2 < c <= 1, the
     window in which the full series converges uniformly.
     """
     gamma = float(gamma)
     c = float(c)
-    M = int(M)
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     if not ((gamma + 1.0) / 2.0 < c <= 1.0):
         raise ValueError("c must lie in ((gamma+1)/2, 1]")
+    if not (2 <= n_lo <= n_hi):
+        raise ValueError("the series runs over frequencies n >= 2")
+    n = np.arange(n_lo, n_hi + 1)
+    ln = np.log(n)
+    return n, np.exp(2j * np.pi * n * ln ** gamma) / (np.sqrt(n) * ln ** c)
+
+
+def ingham_partial_sum(gamma, c, M) -> TrigPoly:
+    """Partial sum S_M of the modulated series sum_{n >= 2} a_n e^{2 pi i n x}
+    (see _ingham_coefficients for a_n and the parameter window)."""
+    M = int(M)
     if M < 3:
         raise ValueError("M must be >= 3")
-    n = np.arange(2, M + 1, dtype=float)
-    ln = np.log(n)
-    a = np.exp(2j * np.pi * n * ln ** gamma) / (np.sqrt(n) * ln ** c)
+    n, a = _ingham_coefficients(gamma, c, 2, M)
     return TrigPoly(1, {int(nn): complex(aa) for nn, aa in zip(n, a)})
 
 
 def ingham_tail_sup(gamma, c, M, oversample=8) -> float:
     """Grid sup-norm of S_{2M} - S_M (frequencies M+1 .. 2M), a probe of the
     cited uniform convergence."""
-    gamma = float(gamma)
-    c = float(c)
     M = int(M)
-    n = np.arange(M + 1, 2 * M + 1, dtype=float)
-    ln = np.log(n)
-    a = np.exp(2j * np.pi * n * ln ** gamma) / (np.sqrt(n) * ln ** c)
+    n, a = _ingham_coefficients(gamma, c, M + 1, 2 * M)
     G = next_pow2(oversample * (2 * M + 1))
     spec = np.zeros(G, dtype=np.complex128)
-    np.add.at(spec, np.arange(M + 1, 2 * M + 1) % G, a)
+    np.add.at(spec, n % G, a)
     vals = np.fft.ifft(spec) * G
     return float(np.abs(vals).max())
 

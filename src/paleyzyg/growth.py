@@ -5,6 +5,13 @@ ensemble maxima, so every reported constant or exponent is a lower-bound
 probe with one-sided semantics.  L^p means use even p only, with grids sized
 past p * degree so the rectangle rule is exact.
 
+The 'phase-ascent' member of a moment probe is the flat (all-ones)
+polynomial on the frequency set, and it attains the supremum over
+unimodular coefficients rather than bounding it from below: for p = 2q,
+||f||_p^p is a sum over additive 2q-tuples of products of coefficients, so
+with unimodular coefficients the triangle inequality bounds it by the
+all-ones value, while ||f||_2^2 = |Lambda| is fixed.
+
 Structured spectra keep their generators: a k-fold signed sumset draws
 coefficients as products of per-term signs or phases (the order-k chaos
 supported on the sumset), and a tensor product draws rank-one coefficient
@@ -33,8 +40,11 @@ class Ensemble:
 
     kinds: 'random-signs' (+-1 coefficients), 'steinhaus' (unimodular random
     phases), 'flat' (all ones, one deterministic member), 'phase-ascent'
-    (flat start, cyclic coordinate phase maximisation of the probe target,
-    deterministic).
+    (the best unimodular member for the probe target, deterministic).  For
+    moment ratios that is the all-ones polynomial on the frequency set: by
+    the triangle inequality no unimodular choice beats it.  On a sumset it
+    differs from 'flat', whose draw carries collision multiplicities.  In
+    sidon_lower_bound it is a coordinate ascent minimising the sup norm.
     """
 
     kind: str
@@ -225,32 +235,10 @@ def even_p_ratio_nd(coeffs, p) -> float:
     return lp / l2
 
 
-def phase_ascent_ratio(freqs, p, n_phases=16, sweeps=3) -> float:
-    """Deterministic coordinate maximisation of ||f||_p/||f||_2 over unit
-    coefficient phases, starting flat."""
-    p = _check_even_p(p)
-    freqs = sorted(freqs)
-    K = len(freqs)
-    d = max(abs(n) for n in freqs)
-    M = next_pow2(p * d + 1)
-    if M * max(K, 1) > (_MAX_GRID_POINTS << 3):
-        raise ValueError("ascent character table exceeds the memory cap")
-    j = np.arange(M)
-    chars = np.exp(2j * np.pi * np.multiply.outer(np.asarray(freqs) % M, j) / M)
-    coeffs = np.ones(K, dtype=np.complex128)
-    f = chars.sum(axis=0)
-    phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
-    best = float(np.mean(np.abs(f) ** p))
-    for _ in range(sweeps):
-        for i in range(K):
-            base = f - coeffs[i] * chars[i]
-            b, obj = _kernels.best_phase_pow(base, chars[i], phases, p)
-            if obj > best:
-                best = obj
-                coeffs[i] = phases[b]
-                f = base + phases[b] * chars[i]
-    l2 = math.sqrt(K)
-    return best ** (1.0 / p) / l2
+def phase_ascent_ratio(freqs, p) -> float:
+    """Best ||f||_p/||f||_2 over unimodular coefficients on the frequency set,
+    attained by the all-ones polynomial (see the module docstring)."""
+    return even_p_ratio({n: 1.0 + 0j for n in freqs}, p)
 
 
 @dataclass(frozen=True)
@@ -281,44 +269,40 @@ def _fit_energy_exponent(p_grid, ratios):
     return float(sol[0]), float(sol[1])
 
 
-def lambda_p_ratio(freqs, p, ensemble: Ensemble, n_phases=16, sweeps=3) -> float:
+def _member_ratio(spectrum, ensemble, trial, p):
+    """||f||_p / ||f||_2 of one ensemble member on a 1D spectrum."""
+    if ensemble.kind == "phase-ascent":
+        return phase_ascent_ratio(spectrum.frequency_set().sorted_elements(), p)
+    return even_p_ratio(spectrum.draw(ensemble, trial), p)
+
+
+def _tensor_member_ratio(spectrum, ensemble, trial, p):
+    """Rank-one members factor: the ratio is the product of the axis ratios."""
+    if ensemble.kind == "phase-ascent":
+        return math.prod(_member_ratio(f, ensemble, trial, p) for f in spectrum.factors)
+    return math.prod(even_p_ratio(part, p) for part in spectrum.draw_factors(ensemble, trial))
+
+
+def lambda_p_ratio(freqs, p, ensemble: Ensemble) -> float:
     """Best ||f||_p / ||f||_2 over the ensemble on a 1D spectrum."""
     p = _check_even_p(p)
     spectrum = as_spectrum(freqs)
     if spectrum.dim != 1:
         raise ValueError("lambda_p_ratio is 1D; use tensor_growth for products")
-    if ensemble.kind == "phase-ascent":
-        return phase_ascent_ratio(spectrum.frequency_set().sorted_elements(), p,
-                                  n_phases=n_phases, sweeps=sweeps)
-    best = 0.0
-    for t in range(ensemble.member_count()):
-        best = max(best, even_p_ratio(spectrum.draw(ensemble, t), p))
-    return best
+    return max(_member_ratio(spectrum, ensemble, t, p) for t in range(ensemble.member_count()))
 
 
-def growth_exponent(spectrum, p_grid, ensembles, n_phases=16, sweeps=3) -> GrowthReport:
-    """Fit the growth exponent of the best ratios over a p grid.
-
-    ``ensembles`` is one Ensemble or a sequence; the best ratio per p is the
-    max over every member of every ensemble.
-    """
-    spectrum = as_spectrum(spectrum)
+def _growth_report(spectrum, p_grid, ensembles, member_ratio) -> GrowthReport:
+    """Best member_ratio per p over every member of every ensemble, and the
+    energy-exponent fit."""
     if isinstance(ensembles, Ensemble):
         ensembles = (ensembles,)
     p_grid = tuple(_check_even_p(p) for p in p_grid)
     if len(p_grid) < 3:
         raise ValueError("need at least 3 p values for a slope fit")
-    best = {p: 0.0 for p in p_grid}
-    for ens in ensembles:
-        for p in p_grid:
-            if ens.kind == "phase-ascent":
-                r = phase_ascent_ratio(spectrum.frequency_set().sorted_elements(), p,
-                                       n_phases=n_phases, sweeps=sweeps)
-                best[p] = max(best[p], r)
-            else:
-                for t in range(ens.member_count()):
-                    best[p] = max(best[p], even_p_ratio(spectrum.draw(ens, t), p))
-    ratios = tuple(best[p] for p in p_grid)
+    ratios = tuple(max(member_ratio(spectrum, e, t, p)
+                       for e in ensembles for t in range(e.member_count()))
+                   for p in p_grid)
     degenerate = all(abs(r - 1.0) < 1e-9 for r in ratios)
     if degenerate:
         alpha, intercept = 0.0, 0.0
@@ -331,7 +315,16 @@ def growth_exponent(spectrum, p_grid, ensembles, n_phases=16, sweeps=3) -> Growt
         seed_info=";".join(f"{e.kind}:{e.seed}" for e in ensembles))
 
 
-def tensor_growth(factors, p_grid, ensembles, n_phases=16, sweeps=3) -> GrowthReport:
+def growth_exponent(spectrum, p_grid, ensembles) -> GrowthReport:
+    """Fit the growth exponent of the best ratios over a p grid.
+
+    ``ensembles`` is one Ensemble or a sequence; the best ratio per p is the
+    max over every member of every ensemble.
+    """
+    return _growth_report(as_spectrum(spectrum), p_grid, ensembles, _member_ratio)
+
+
+def tensor_growth(factors, p_grid, ensembles) -> GrowthReport:
     """Growth exponent for a tensor-product spectrum (dims <= 3).
 
     Rank-one draws factor exactly: the nD rectangle-rule ratio of a product
@@ -342,38 +335,7 @@ def tensor_growth(factors, p_grid, ensembles, n_phases=16, sweeps=3) -> GrowthRe
     spectrum = TensorSpectrum([as_spectrum(f) for f in factors])
     if spectrum.dim > 3:
         raise ValueError("tensor probes support dims <= 3")
-    if isinstance(ensembles, Ensemble):
-        ensembles = (ensembles,)
-    p_grid = tuple(_check_even_p(p) for p in p_grid)
-    if len(p_grid) < 3:
-        raise ValueError("need at least 3 p values for a slope fit")
-    best = {p: 0.0 for p in p_grid}
-    for ens in ensembles:
-        for p in p_grid:
-            if ens.kind == "phase-ascent":
-                r = 1.0
-                for f in spectrum.factors:
-                    r *= phase_ascent_ratio(f.frequency_set().sorted_elements(), p,
-                                            n_phases=n_phases, sweeps=sweeps)
-                best[p] = max(best[p], r)
-            else:
-                for t in range(ens.member_count()):
-                    parts = spectrum.draw_factors(ens, t)
-                    r = 1.0
-                    for part in parts:
-                        r *= even_p_ratio(part, p)
-                    best[p] = max(best[p], r)
-    ratios = tuple(best[p] for p in p_grid)
-    degenerate = all(abs(r - 1.0) < 1e-9 for r in ratios)
-    if degenerate:
-        alpha, intercept = 0.0, 0.0
-    else:
-        alpha, intercept = _fit_energy_exponent(p_grid, ratios)
-    return GrowthReport(
-        descriptor=spectrum.describe(), p_grid=p_grid, ratios=ratios,
-        alpha=alpha, intercept=intercept, degenerate=degenerate,
-        ensembles=tuple((e.kind, e.seed, e.trials) for e in ensembles),
-        seed_info=";".join(f"{e.kind}:{e.seed}" for e in ensembles))
+    return _growth_report(spectrum, p_grid, ensembles, _tensor_member_ratio)
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ class PaleyMeasure:
 
     def block_nodes(self, k):
         """Gauss-Legendre nodes and density-laden weights on +-[2^k, 2^{k+1})."""
-        gx, gw = np.polynomial.legendre.leggauss(_GL_NODES)
+        gx, gw = window._gauss_legendre(_GL_NODES)
         lo, hi = 2.0 ** k, 2.0 ** (k + 1)
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xs_pos = mid + rad * gx
@@ -435,18 +435,8 @@ def low_block_divergence(f: CompactSignal, k_low_list):
     """Mass added to ||f_hat||^2_{L2(dmu)} by each low block of the |xi|^{-1}
     density; for f_hat(0) != 0 every sufficiently low block contributes about
     2 ln 2 * |f_hat(0)|^2.  Returns rows (k, increment)."""
-    rows = []
-    for k in sorted(int(k) for k in k_low_list):
-        gx, gw = np.polynomial.legendre.leggauss(_GL_NODES)
-        lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs_pos = mid + rad * gx
-        ws = rad * gw
-        xs = np.concatenate([xs_pos, -xs_pos])
-        fh = fourier_transform(f, xs).values
-        inc = float(np.sum(np.concatenate([ws, ws]) / np.abs(xs) * np.abs(fh) ** 2))
-        rows.append((k, inc))
-    return rows
+    return [(k, mu_l2_sq(PaleyMeasure.inverse_abs(k, k), f))
+            for k in sorted(int(k) for k in k_low_list)]
 
 
 @dataclass(frozen=True)

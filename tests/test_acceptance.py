@@ -13,7 +13,6 @@ import pytest
 
 import paleyzyg as pz
 from paleyzyg import window
-from paleyzyg.realline import _dual_grid  # noqa: F401  (kept for parity with probes)
 
 
 def check(criterion, label, ok):

@@ -62,6 +62,12 @@ class TestExitCodes:
     def test_bad_flag_value(self, capsys):
         assert main(["lambda-p", "--p", "3"]) == 1  # odd p rejected
 
+    def test_ingham_gamma_outside_window(self, capsys):
+        assert main(["ingham", "--gamma", "1.5", "--m-min", "8", "--m-max", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gamma must lie in (0, 1)" in captured.err
+
     def test_ingham_verdict_success(self, capsys):
         code, out = run_cli(capsys, "ingham", "--m-min", "8", "--m-max", "11",
                             "--sum-limit", "10000", "--format", "json")

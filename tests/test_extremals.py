@@ -8,7 +8,7 @@ import pytest
 from paleyzyg import (fejer, ingham_partial_sum, ingham_tail_sup, ingham_weight_trend,
                       lp_norm, sharpness_experiment, sidon_weight_divergence,
                       synthesize, vallee_poussin)
-from paleyzyg.extremals import SharpnessTable, ingham_coefficient_magnitudes
+from paleyzyg.extremals import SharpnessTable
 
 
 class TestFejer:
@@ -118,11 +118,19 @@ class TestIngham:
         with pytest.raises(ValueError):
             ingham_partial_sum(0.5, 1.1, 100)
 
+    def test_tail_sup_parameter_window(self):
+        with pytest.raises(ValueError, match="gamma"):
+            ingham_tail_sup(1.5, 0.8, 1024)
+        with pytest.raises(ValueError, match="c must"):
+            ingham_tail_sup(0.5, 0.7, 1024)
+        with pytest.raises(ValueError):
+            ingham_tail_sup(0.5, 0.8, 0)
+
     def test_coefficient_magnitudes(self):
         p = ingham_partial_sum(0.5, 0.8, 50)
-        mags = ingham_coefficient_magnitudes(0.8, 2, 50)
         for n in range(2, 51):
-            assert abs(p.coeffs[n]) == pytest.approx(mags[n - 2], rel=1e-12)
+            mag = 1.0 / (math.sqrt(n) * math.log(n) ** 0.8)
+            assert abs(p.coeffs[n]) == pytest.approx(mag, rel=1e-12)
 
     def test_vanishes_below_two(self):
         p = ingham_partial_sum(0.5, 0.8, 50)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paleyzyg import (Ensemble, FrequencySet, MultiplierSeq, PlainSpectrum,
                       SumsetSpectrum, TensorSpectrum, TrigPoly, cauchy_schwarz_check,
@@ -247,3 +248,16 @@ class TestPhaseAscent:
         freqs = [1, 2, 4, 8, 16]
         flat = even_p_ratio({n: 1.0 for n in freqs}, 8)
         assert phase_ascent_ratio(freqs, 8) >= flat - 1e-12
+
+    @pytest.mark.parametrize("ratio", (2, 3))
+    @pytest.mark.parametrize("p", (4, 16, 64))
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_no_unimodular_member_beats_it(self, ratio, p, seed):
+        # ||f||_p^p sums unimodular products over additive tuples, so the
+        # triangle inequality caps every Steinhaus member at the flat value
+        spec = PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(ratio, 8).terms)))
+        best = phase_ascent_ratio(spec.frequency_set().sorted_elements(), p)
+        ens = Ensemble("steinhaus", seed=seed, trials=4)
+        for t in range(ens.member_count()):
+            assert even_p_ratio(spec.draw(ens, t), p) <= best * (1 + 1e-12)

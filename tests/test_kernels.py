@@ -1,4 +1,4 @@
-"""The numba fast path and the numpy fallback must agree to round-off."""
+"""The kernels against direct loop references."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,6 @@ def rng():
     return np.random.default_rng(42)
 
 
-def test_nudft_paths_agree(rng):
-    values = rng.standard_normal(257) + 1j * rng.standard_normal(257)
-    points = np.linspace(-3, 3, 257)
-    freqs = rng.uniform(-20, 20, size=64)
-    fast = _kernels.nudft(values, points, freqs)
-    ref = _kernels._nudft_numpy(values, points, freqs)
-    assert np.abs(fast - ref).max() <= 1e-9 * np.abs(ref).max()
-
-
 def test_nudft_matches_direct_sum(rng):
     values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     points = np.linspace(0, 1, 64, endpoint=False)
@@ -30,31 +21,15 @@ def test_nudft_matches_direct_sum(rng):
         assert abs(out[i] - direct) <= 1e-10 * max(abs(direct), 1.0)
 
 
-def test_eval_trig_paths_agree(rng):
-    freqs = rng.integers(-50, 50, size=30).astype(float)
-    coeffs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    points = rng.uniform(0, 1, size=101)
-    fast = _kernels.eval_trig(freqs, coeffs, points)
-    ref = _kernels._eval_trig_numpy(freqs, coeffs, points)
-    assert np.abs(fast - ref).max() <= 1e-9 * np.abs(ref).max()
-
-
-def test_best_phase_pow_paths_agree(rng):
-    base = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    char = np.exp(2j * np.pi * np.arange(128) * 3 / 128)
-    phases = np.exp(2j * np.pi * np.arange(8) / 8)
-    for p in (4, 8):
-        bi, bv = _kernels.best_phase_pow(base, char, phases, p)
-        ri, rv = _kernels._best_phase_pow_numpy(base, char, phases, p)
-        assert bi == ri
-        assert abs(bv - rv) <= 1e-9 * max(rv, 1.0)
-
-
-def test_min_sup_phase_paths_agree(rng):
+def test_min_sup_phase_matches_loop(rng):
     base = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     char = np.exp(2j * np.pi * np.arange(128) * 5 / 128)
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
+    best_i, best_sup = 0, np.inf
+    for i, ph in enumerate(phases):
+        sup = max(abs(b + ph * c) for b, c in zip(base, char))
+        if sup < best_sup:
+            best_i, best_sup = i, sup
     bi, bv = _kernels.min_sup_phase(base, char, phases)
-    ri, rv = _kernels._min_sup_phase_numpy(base, char, phases)
-    assert bi == ri
-    assert abs(bv - rv) <= 1e-12 * max(rv, 1.0)
+    assert bi == best_i
+    assert abs(bv - best_sup) <= 1e-12 * max(best_sup, 1.0)
