@@ -20,7 +20,7 @@ from .extremals import (fejer, vallee_poussin, sharpness_experiment, SharpnessTa
                         ingham_partial_sum, ingham_tail_sup, sidon_weight_divergence,
                         ingham_weight_trend)
 from .growth import (Ensemble, PlainSpectrum, SumsetSpectrum, TensorSpectrum,
-                     even_p_ratio, even_p_ratio_nd, phase_ascent_ratio, lambda_p_ratio,
+                     even_p_ratio, best_ratios, lambda_p_ratio,
                      growth_exponent, tensor_growth, GrowthReport, EMatrix, e_matrix,
                      cauchy_schwarz_check, offdiagonal_split, sidon_lower_bound)
 from .realline import (CompactSignal, PaleyMeasure, fourier_transform, lp_block,

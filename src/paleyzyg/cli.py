@@ -162,9 +162,8 @@ def cmd_lambda_p(args):
     lam = _base_seq(args)
     fs = spectra.FrequencySet(1, frozenset(lam.terms))
     ens = growth.Ensemble(args.ensemble, seed=args.seed, trials=args.trials)
-    rows = []
-    for p in (int(v) for v in args.p.split(",")):
-        rows.append([p, growth.lambda_p_ratio(fs, p, ens)])
+    p_grid = [int(v) for v in args.p.split(",")]
+    rows = [list(row) for row in zip(p_grid, growth.best_ratios(fs, p_grid, ens))]
     config = {"ratio": args.ratio, "count": args.count, "start": args.start,
               "p": args.p, "ensemble": args.ensemble, "seed": args.seed,
               "trials": args.trials}

@@ -8,8 +8,6 @@ and is flat (coefficient 1) on |n| <= 2^N; the first coefficient past the
 flat part is 1 - 2^-N.
 """
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -62,22 +60,6 @@ class SharpnessTable:
     lhs_slope: float
     phi_slopes: dict
     grids: tuple
-
-    def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        header = ["N", "L_N"]
-        for r in self.r_values:
-            header += [f"phi_{r}", f"ratio_{r}"]
-        header.append("grid")
-        w.writerow(header)
-        for i, n in enumerate(self.n_values):
-            row = [n, repr(self.lhs[i])]
-            for r in self.r_values:
-                row += [repr(self.phi[r][i]), repr(self.ratios[r][i])]
-            row.append(self.grids[i])
-            w.writerow(row)
-        return buf.getvalue()
 
     def to_json(self):
         return json.dumps({

@@ -2,10 +2,13 @@
 
 Suprema over all polynomials on a spectrum are approximated from below by
 ensemble maxima, so every reported constant or exponent is a lower-bound
-probe with one-sided semantics.  L^p means use even p only, with grids sized
-past p * degree so the rectangle rule is exact.
+probe with one-sided semantics.  L^p means use even p only: the rectangle
+rule is exact on a power-of-two grid past p * degree per axis.  A moment
+probe synthesises each coefficient table once, on the exact grid of the
+largest p, and reads every smaller p on its own exact grid, a strided view
+of the big one, so every ensemble member is drawn once per p grid.
 
-The 'phase-ascent' member of a moment probe is the flat (all-ones)
+The 'phase-ascent' draw of a moment probe is the flat (all-ones)
 polynomial on the frequency set, and it attains the supremum over
 unimodular coefficients rather than bounding it from below: for p = 2q,
 ||f||_p^p is a sum over additive 2q-tuples of products of coefficients, so
@@ -88,7 +91,7 @@ class PlainSpectrum:
 
     def draw(self, ensemble: Ensemble, trial: int):
         elems = self.freqs.sorted_elements()
-        if ensemble.kind == "flat":
+        if ensemble.kind in ("flat", "phase-ascent"):
             return {n: 1.0 + 0j for n in elems}
         rng = np.random.default_rng([ensemble.seed, trial])
         vals = _draw_factors(rng, len(elems), ensemble.kind)
@@ -121,6 +124,8 @@ class SumsetSpectrum:
         return self._fset
 
     def draw(self, ensemble: Ensemble, trial: int):
+        if ensemble.kind == "phase-ascent":
+            return {n: 1.0 + 0j for n in self._fset.sorted_elements()}
         terms = self.base.terms[:self.used_terms]
         if ensemble.kind == "flat":
             eps = np.ones(len(terms), dtype=np.complex128)
@@ -196,49 +201,36 @@ def _check_even_p(p):
     return int(p)
 
 
+def _moment_ratios(coeffs, p_grid):
+    """||f||_p / ||f||_2 for every p in p_grid, from one synthesis.
+
+    Keys are ints (1D) or tuples (nD).  The table is synthesised on the
+    exact grid of the largest p; each p reads its own exact grid as a
+    strided view of it (both sizes are powers of two per axis).
+    """
+    if not coeffs:
+        raise ValueError("empty coefficient table")
+    freqs = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), -1)
+    degs = np.abs(freqs).max(axis=0)
+    big = tuple(next_pow2(max(p_grid) * int(d) + 1) for d in degs)
+    if math.prod(big) > _MAX_GRID_POINTS:
+        raise ValueError(f"exact grid {big} exceeds the memory cap")
+    spec = np.zeros(big, dtype=np.complex128)
+    spec[tuple((freqs % big).T)] = list(coeffs.values())
+    m2 = np.abs(np.fft.ifftn(spec) * math.prod(big)) ** 2
+    ratios = np.empty(len(p_grid))
+    for i, p in enumerate(p_grid):
+        view = m2[tuple(slice(None, None, b // next_pow2(p * int(d) + 1))
+                        for b, d in zip(big, degs))]
+        l2 = math.sqrt(float(np.mean(view)))
+        lp = float(np.mean(view ** (p // 2))) ** (1.0 / p)
+        ratios[i] = lp / l2
+    return ratios
+
+
 def even_p_ratio(coeffs, p) -> float:
-    """||f||_p / ||f||_2 for a 1D coefficient table, exact rectangle rule."""
-    p = _check_even_p(p)
-    if not coeffs:
-        raise ValueError("empty coefficient table")
-    d = max(abs(n) for n in coeffs)
-    M = next_pow2(p * d + 1)
-    if M > _MAX_GRID_POINTS:
-        raise ValueError(f"exact grid {M} exceeds the memory cap")
-    spec = np.zeros(M, dtype=np.complex128)
-    for n, c in coeffs.items():
-        spec[n % M] += c
-    vals = np.fft.ifft(spec) * M
-    m2 = np.abs(vals) ** 2
-    l2 = math.sqrt(float(np.mean(m2)))
-    lp = float(np.mean(m2 ** (p // 2))) ** (1.0 / p)
-    return lp / l2
-
-
-def even_p_ratio_nd(coeffs, p) -> float:
-    """nD analogue of even_p_ratio via the nD transform."""
-    p = _check_even_p(p)
-    if not coeffs:
-        raise ValueError("empty coefficient table")
-    dim = len(next(iter(coeffs)))
-    degs = [max(abs(n[a]) for n in coeffs) for a in range(dim)]
-    sizes = tuple(next_pow2(p * d + 1) for d in degs)
-    if math.prod(sizes) > _MAX_GRID_POINTS:
-        raise ValueError(f"exact grid {sizes} exceeds the memory cap")
-    spec = np.zeros(sizes, dtype=np.complex128)
-    for n, c in coeffs.items():
-        spec[tuple(n[a] % sizes[a] for a in range(dim))] += c
-    vals = np.fft.ifftn(spec) * math.prod(sizes)
-    m2 = np.abs(vals) ** 2
-    l2 = math.sqrt(float(np.mean(m2)))
-    lp = float(np.mean(m2 ** (p // 2))) ** (1.0 / p)
-    return lp / l2
-
-
-def phase_ascent_ratio(freqs, p) -> float:
-    """Best ||f||_p/||f||_2 over unimodular coefficients on the frequency set,
-    attained by the all-ones polynomial (see the module docstring)."""
-    return even_p_ratio({n: 1.0 + 0j for n in freqs}, p)
+    """||f||_p / ||f||_2 for a 1D or nD coefficient table, exact rectangle rule."""
+    return float(_moment_ratios(coeffs, (_check_even_p(p),))[0])
 
 
 @dataclass(frozen=True)
@@ -269,40 +261,45 @@ def _fit_energy_exponent(p_grid, ratios):
     return float(sol[0]), float(sol[1])
 
 
-def _member_ratio(spectrum, ensemble, trial, p):
-    """||f||_p / ||f||_2 of one ensemble member on a 1D spectrum."""
-    if ensemble.kind == "phase-ascent":
-        return phase_ascent_ratio(spectrum.frequency_set().sorted_elements(), p)
-    return even_p_ratio(spectrum.draw(ensemble, trial), p)
+def best_ratios(spectrum, p_grid, ensembles):
+    """Best ||f||_p / ||f||_2 per p over every member of every ensemble.
 
-
-def _tensor_member_ratio(spectrum, ensemble, trial, p):
-    """Rank-one members factor: the ratio is the product of the axis ratios."""
-    if ensemble.kind == "phase-ascent":
-        return math.prod(_member_ratio(f, ensemble, trial, p) for f in spectrum.factors)
-    return math.prod(even_p_ratio(part, p) for part in spectrum.draw_factors(ensemble, trial))
+    Each member is drawn once and read at every p.  A tensor member is
+    rank-one, and the nD rectangle-rule ratio of a product table is the
+    product of its per-axis 1D ratios, so tensors are probed per axis.
+    """
+    spectrum = as_spectrum(spectrum)
+    if isinstance(ensembles, Ensemble):
+        ensembles = (ensembles,)
+    p_grid = tuple(_check_even_p(p) for p in p_grid)
+    best = np.zeros(len(p_grid))
+    for e in ensembles:
+        for t in range(e.member_count()):
+            if isinstance(spectrum, TensorSpectrum):
+                ratios = math.prod(_moment_ratios(part, p_grid)
+                                   for part in spectrum.draw_factors(e, t))
+            else:
+                ratios = _moment_ratios(spectrum.draw(e, t), p_grid)
+            best = np.maximum(best, ratios)
+    return tuple(float(r) for r in best)
 
 
 def lambda_p_ratio(freqs, p, ensemble: Ensemble) -> float:
     """Best ||f||_p / ||f||_2 over the ensemble on a 1D spectrum."""
-    p = _check_even_p(p)
-    spectrum = as_spectrum(freqs)
-    if spectrum.dim != 1:
+    if as_spectrum(freqs).dim != 1:
         raise ValueError("lambda_p_ratio is 1D; use tensor_growth for products")
-    return max(_member_ratio(spectrum, ensemble, t, p) for t in range(ensemble.member_count()))
+    return best_ratios(freqs, (p,), ensemble)[0]
 
 
-def _growth_report(spectrum, p_grid, ensembles, member_ratio) -> GrowthReport:
-    """Best member_ratio per p over every member of every ensemble, and the
+def _growth_report(spectrum, p_grid, ensembles) -> GrowthReport:
+    """Best ratio per p over every member of every ensemble, and the
     energy-exponent fit."""
     if isinstance(ensembles, Ensemble):
         ensembles = (ensembles,)
     p_grid = tuple(_check_even_p(p) for p in p_grid)
     if len(p_grid) < 3:
         raise ValueError("need at least 3 p values for a slope fit")
-    ratios = tuple(max(member_ratio(spectrum, e, t, p)
-                       for e in ensembles for t in range(e.member_count()))
-                   for p in p_grid)
+    ratios = best_ratios(spectrum, p_grid, ensembles)
     degenerate = all(abs(r - 1.0) < 1e-9 for r in ratios)
     if degenerate:
         alpha, intercept = 0.0, 0.0
@@ -321,21 +318,17 @@ def growth_exponent(spectrum, p_grid, ensembles) -> GrowthReport:
     ``ensembles`` is one Ensemble or a sequence; the best ratio per p is the
     max over every member of every ensemble.
     """
-    return _growth_report(as_spectrum(spectrum), p_grid, ensembles, _member_ratio)
+    return _growth_report(as_spectrum(spectrum), p_grid, ensembles)
 
 
 def tensor_growth(factors, p_grid, ensembles) -> GrowthReport:
-    """Growth exponent for a tensor-product spectrum (dims <= 3).
-
-    Rank-one draws factor exactly: the nD rectangle-rule ratio of a product
-    table equals the product of the per-axis 1D ratios, so the probe runs
-    per axis (the identity is pinned against the full nD transform in the
-    test suite).
-    """
+    """Growth exponent for a tensor-product spectrum (dims <= 3), probed per
+    axis (see best_ratios; the identity is pinned against the full nD
+    transform in the test suite)."""
     spectrum = TensorSpectrum([as_spectrum(f) for f in factors])
     if spectrum.dim > 3:
         raise ValueError("tensor probes support dims <= 3")
-    return _growth_report(spectrum, p_grid, ensembles, _tensor_member_ratio)
+    return _growth_report(spectrum, p_grid, ensembles)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, window
+from .multipliers import _diverging
 
 
 @dataclass(frozen=True)
@@ -106,12 +107,17 @@ def _dual_inverse(s: CompactSignal, fhat_mod):
     return CompactSignal(vals, s.half_width)
 
 
-def lp_block(s: CompactSignal, k) -> CompactSignal:
-    """The dyadic frequency block: multiply f_hat by eta(2**-k xi), invert."""
+def _block(s: CompactSignal, xi, fhat, k) -> CompactSignal:
+    """Block k of s from its dual grid (xi, fhat)."""
     if 2.0 ** (k + 2) > s.band * (1 + 1e-12):
         raise ValueError(f"block {k} lies outside the validity band (band {s.band})")
-    _, xi, fhat = _dual_grid(s)
     return _dual_inverse(s, window.eta_scaled(xi, k) * fhat)
+
+
+def lp_block(s: CompactSignal, k) -> CompactSignal:
+    """The dyadic frequency block: multiply f_hat by eta(2**-k xi), invert."""
+    _, xi, fhat = _dual_grid(s)
+    return _block(s, xi, fhat, k)
 
 
 def default_k_range(s: CompactSignal):
@@ -123,9 +129,10 @@ def square_function_norm(s: CompactSignal, k_range=None) -> float:
     if k_range is None:
         k_range = default_k_range(s)
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
+    _, xi, fhat = _dual_grid(s)
     acc = np.zeros(s.size)
     for k in range(k_lo, k_hi + 1):
-        acc += np.abs(lp_block(s, k).values) ** 2
+        acc += np.abs(_block(s, xi, fhat, k).values) ** 2
     return float(s.h * np.sum(np.sqrt(acc)))
 
 
@@ -214,19 +221,6 @@ class PaleyMeasure:
                          "round-trip through JSON")
 
 
-def _diverging_masses(masses):
-    """Monotone non-decreasing over the last half of the range with strict
-    net growth there; a finite sweep cannot certify divergence, only flag
-    the trend."""
-    K = len(masses) - 1
-    if K < 3:
-        return False
-    half = masses[K - K // 2:]
-    if any(half[i + 1] < half[i] for i in range(len(half) - 1)):
-        return False
-    return half[-1] > half[0]
-
-
 @dataclass(frozen=True)
 class PaleySupReport:
     sup: float
@@ -240,7 +234,7 @@ def paley_sup(mu: PaleyMeasure, k_range) -> PaleySupReport:
     finite-horizon divergence flag on the mass sequence."""
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
     masses = tuple(mu.block_mass(k) for k in range(k_lo, k_hi + 1))
-    verdict = "diverging" if _diverging_masses(masses) else "bounded-in-range"
+    verdict = "diverging" if _diverging(masses) else "bounded-in-range"
     return PaleySupReport(sup=max(masses, default=0.0), k_range=(k_lo, k_hi),
                           masses=masses, verdict=verdict)
 

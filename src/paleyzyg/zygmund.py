@@ -122,8 +122,10 @@ def zygmund_ratio(p: TrigPoly, m: MultiplierSeq, grid=None, check_multiplier=Tru
     if check_multiplier:
         _check_bounded(m)
     if grid is None:
-        # L1-type quadrature: the smallest alias-free grid already carries
-        # ~1e-6 relative accuracy, and the report records the size
+        # L1-type quadrature on the smallest alias-free grid; the report
+        # records the size.  Against an 8x grid the relative rhs error is
+        # 2.8e-4 on block_filling_corpus(20, k 1..12) and 1.9%, 2.6%, 2.8%
+        # for V_{2^N} at N = 4, 8, 10
         grid = next_pow2(max(2 * p.degree + 1, 16))
     if p.coeffs:
         vals = synthesize(p, grid)

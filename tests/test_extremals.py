@@ -8,6 +8,7 @@ import pytest
 from paleyzyg import (fejer, ingham_partial_sum, ingham_tail_sup, ingham_weight_trend,
                       lp_norm, sharpness_experiment, sidon_weight_divergence,
                       synthesize, vallee_poussin)
+from paleyzyg.cli import main
 from paleyzyg.extremals import SharpnessTable
 
 
@@ -96,10 +97,11 @@ class TestSharpness:
         for a, b in zip(table.ratios[0.25], table.ratios[0.5]):
             assert a >= b
 
-    def test_serialisation(self, table):
-        text = table.to_csv()
-        assert text.splitlines()[0] == "N,L_N,phi_0.25,ratio_0.25,phi_0.5,ratio_0.5,grid"
-        assert len(text.splitlines()) == len(table.n_values) + 1
+    def test_serialisation(self, table, capsys):
+        assert main(["sharpness", "--n-min", "4", "--n-max", "6", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "N,L_N,phi_0.25,ratio_0.25,phi_0.5,ratio_0.5,grid"
+        assert len(lines) == 3 + 1
         import json
         data = json.loads(table.to_json())
         assert data["N"] == list(table.n_values)

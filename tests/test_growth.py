@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paleyzyg import (Ensemble, FrequencySet, MultiplierSeq, PlainSpectrum,
-                      SumsetSpectrum, TensorSpectrum, TrigPoly, cauchy_schwarz_check,
-                      e_matrix, even_p_ratio, even_p_ratio_nd, geometric_lacunary,
-                      growth_exponent, lambda_p_ratio, offdiagonal_split,
-                      phase_ascent_ratio, sidon_lower_bound, tensor_growth)
+                      SumsetSpectrum, TensorSpectrum, TrigPoly, best_ratios,
+                      cauchy_schwarz_check, e_matrix, even_p_ratio, geometric_lacunary,
+                      growth_exponent, lambda_p_ratio, lp_norm, next_pow2,
+                      offdiagonal_split, sidon_lower_bound, synthesize, tensor_growth)
+from paleyzyg.cli import main
+from paleyzyg.growth import _moment_ratios
 
 P_GRID = (4, 8, 16, 32, 64)
 
@@ -115,7 +117,7 @@ class TestTensor:
         ch = {1: 1 + 0j, 2: 1 + 0j, 4: -1 + 0j}
         coeffs = {(a, b): cg[a] * ch[b] for a in cg for b in ch}
         for p in (4, 8, 16):
-            full = even_p_ratio_nd(coeffs, p)
+            full = even_p_ratio(coeffs, p)
             fact = even_p_ratio(cg, p) * even_p_ratio(ch, p)
             assert full == pytest.approx(fact, rel=1e-11)
 
@@ -238,16 +240,31 @@ class TestSidonLowerBound:
 
 
 class TestPhaseAscent:
+    FREQS = FrequencySet(1, frozenset([1, 2, 4, 8, 16]))
+
     def test_deterministic(self):
-        freqs = [1, 2, 4, 8, 16]
-        a = phase_ascent_ratio(freqs, 8)
-        b = phase_ascent_ratio(freqs, 8)
+        a = lambda_p_ratio(self.FREQS, 8, Ensemble("phase-ascent"))
+        b = lambda_p_ratio(self.FREQS, 8, Ensemble("phase-ascent"))
         assert a == b
 
     def test_at_least_flat(self):
-        freqs = [1, 2, 4, 8, 16]
-        flat = even_p_ratio({n: 1.0 for n in freqs}, 8)
-        assert phase_ascent_ratio(freqs, 8) >= flat - 1e-12
+        flat = even_p_ratio({n: 1.0 for n in self.FREQS.elements}, 8)
+        assert lambda_p_ratio(self.FREQS, 8, Ensemble("phase-ascent")) >= flat - 1e-12
+
+    def test_sumset_draw_is_flat_on_frequency_set(self):
+        spec = SumsetSpectrum(geometric_lacunary(2, 6), 2)
+        draw = spec.draw(Ensemble("phase-ascent"), 0)
+        assert set(draw) == set(spec.frequency_set().elements)
+        assert all(c == 1.0 for c in draw.values())
+        # the 'flat' draw carries the collision multiplicities of the sumset
+        assert draw != spec.draw(Ensemble("flat"), 0)
+
+    def test_tensor_factors_are_flat(self):
+        spec = TensorSpectrum([SumsetSpectrum(geometric_lacunary(2, 4), 2),
+                               PlainSpectrum(FrequencySet(1, frozenset([1, 3, 9])))])
+        parts = spec.draw_factors(Ensemble("phase-ascent", seed=5), 0)
+        for part, factor in zip(parts, spec.factors):
+            assert part == {n: 1.0 for n in factor.frequency_set().elements}
 
     @pytest.mark.parametrize("ratio", (2, 3))
     @pytest.mark.parametrize("p", (4, 16, 64))
@@ -257,7 +274,80 @@ class TestPhaseAscent:
         # ||f||_p^p sums unimodular products over additive tuples, so the
         # triangle inequality caps every Steinhaus member at the flat value
         spec = PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(ratio, 8).terms)))
-        best = phase_ascent_ratio(spec.frequency_set().sorted_elements(), p)
+        best = lambda_p_ratio(spec, p, Ensemble("phase-ascent"))
         ens = Ensemble("steinhaus", seed=seed, trials=4)
         for t in range(ens.member_count()):
             assert even_p_ratio(spec.draw(ens, t), p) <= best * (1 + 1e-12)
+
+
+class CountingSpectrum(PlainSpectrum):
+    """A plain spectrum that counts its draws per (kind, seed, trial)."""
+
+    def __init__(self, freqs):
+        super().__init__(freqs)
+        self.draws = {}
+
+    def draw(self, ensemble, trial):
+        key = (ensemble.kind, ensemble.seed, trial)
+        self.draws[key] = self.draws.get(key, 0) + 1
+        return super().draw(ensemble, trial)
+
+
+class TestMomentRoutine:
+    @staticmethod
+    def _table(which):
+        lam = geometric_lacunary(2, 6)
+        if which == "plain":
+            return PlainSpectrum(FrequencySet(1, frozenset(lam.terms))).draw(
+                Ensemble("steinhaus", seed=3), 0)
+        if which == "sumset":
+            return SumsetSpectrum(lam, 2).draw(Ensemble("random-signs", seed=4), 0)
+        rng = np.random.default_rng(45)
+        return {(int(a), int(b)): complex(*rng.standard_normal(2))
+                for a in (-5, 0, 2, 7) for b in (1, 3, 4)}
+
+    @pytest.mark.parametrize("which", ("plain", "sumset", "nd"))
+    def test_p_grid_matches_per_p(self, which):
+        # one synthesis on the grid of p = 64, read at every p, against a
+        # synthesis on each p's own exact grid
+        table = self._table(which)
+        f = TrigPoly(len(next(iter(table))) if which == "nd" else 1, table)
+        ratios = _moment_ratios(table, P_GRID)
+        for p, r in zip(P_GRID, ratios):
+            vals = synthesize(f, tuple(next_pow2(p * d + 1) for d in f.degrees))
+            assert r == pytest.approx(lp_norm(vals, p) / lp_norm(vals, 2), rel=1e-12)
+            assert r == pytest.approx(even_p_ratio(table, p), rel=1e-12)
+
+    def test_best_ratios_match_lambda_p(self):
+        spec = SumsetSpectrum(geometric_lacunary(2, 6), 2)
+        ens = [Ensemble("steinhaus", seed=8, trials=3), Ensemble("phase-ascent")]
+        grid = best_ratios(spec, P_GRID, ens)
+        for p, r in zip(P_GRID, grid):
+            assert r == pytest.approx(max(lambda_p_ratio(spec, p, e) for e in ens), rel=1e-12)
+
+    def test_growth_exponent_draws_each_member_once(self):
+        spec = CountingSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 6).terms)))
+        growth_exponent(spec, P_GRID, [Ensemble("random-signs", seed=1, trials=5),
+                                       Ensemble("phase-ascent")])
+        assert len(spec.draws) == 6 and set(spec.draws.values()) == {1}
+
+    def test_tensor_growth_draws_each_member_once(self):
+        a = CountingSpectrum(FrequencySet(1, frozenset([1, 2, 4, 8])))
+        b = CountingSpectrum(FrequencySet(1, frozenset([1, 3, 9])))
+        tensor_growth([a, b], P_GRID, [Ensemble("random-signs", seed=2, trials=4),
+                                       Ensemble("phase-ascent")])
+        for factor in (a, b):
+            assert len(factor.draws) == 5 and set(factor.draws.values()) == {1}
+
+    def test_lambda_p_cli_draws_each_member_once(self, monkeypatch, capsys):
+        counts = {}
+        draw = PlainSpectrum.draw
+
+        def counting(self, ensemble, trial):
+            counts[trial] = counts.get(trial, 0) + 1
+            return draw(self, ensemble, trial)
+
+        monkeypatch.setattr(PlainSpectrum, "draw", counting)
+        assert main(["lambda-p", "--trials", "6", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(P_GRID)
+        assert counts == {t: 1 for t in range(6)}

@@ -48,6 +48,15 @@ class TestBlockSums:
         assert rep.verdict == "diverging"
         assert rep.block_sums[-1] >= 4.0 * rep.block_sums[-4]
 
+    def test_linear_growth_flagged(self):
+        # |m|^2 = j at 3 * 2^(j-1), inside block j only: s_j = j grows without
+        # bound but never by 4x across the last quarter
+        m = MultiplierSeq.table({3 * 2 ** k: math.sqrt(k + 1) for k in range(12)},
+                                horizon=2 ** 13)
+        rep = paley_block_sums(m, 12)
+        assert rep.block_sums == pytest.approx(range(13), rel=1e-12)
+        assert rep.verdict == "diverging"
+
     def test_inverse_sqrt_one_sided_partial_sums(self):
         m = MultiplierSeq.inverse_sqrt(2 ** 6, positive_only=True)
         rep = paley_block_sums(m, 4)
