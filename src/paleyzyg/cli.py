@@ -1,12 +1,16 @@
 """Command-line driver: every experiment as a reproducible subcommand.
 
-Reports carry a lossless config echo plus provenance (grids, seeds, caps);
+``Report`` is the only serialiser in the package: a JSON report carries the
+config echo, the columns, the rows and the provenance (grids, seeds, caps),
+and a CSV report carries the columns and rows.  The config echo is built in
+one place, ``main``, from every flag of the subcommand as parsed, so
 re-running an echoed config reproduces the rows bit-identically.  Exit codes:
 0 success, 1 usage error, 2 verdict failure.
 """
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -14,27 +18,33 @@ import sys
 from . import extremals, growth, multipliers, realline, spectra, zygmund
 
 
+# The acceptance suite of the checkout this module sits in (src/paleyzyg/cli.py).
+_ACCEPTANCE_TESTS = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "tests", "test_acceptance.py"))
+
+# Parsed arguments that are not flags of the experiment.
+_NOT_ECHOED = ("cmd", "fn", "output", "format")
+
+
 class Report:
-    def __init__(self, subcommand, config, columns, rows, provenance, verdict=None):
+    def __init__(self, subcommand, columns, rows, provenance, verdict=None):
         self.subcommand = subcommand
-        self.config = config
+        self.config = {}            # set by main from the parsed flags
         self.columns = columns
         self.rows = rows
         self.provenance = provenance
         self.verdict = verdict
 
-    def to_json(self):
-        return json.dumps({
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "columns": self.columns,
-            "rows": self.rows,
-            "provenance": self.provenance,
-            "verdict": self.verdict,
-        }, indent=2)
-
-    def to_csv(self):
-        import io
+    def render(self, fmt):
+        if fmt == "json":
+            return json.dumps({
+                "subcommand": self.subcommand,
+                "config": self.config,
+                "columns": self.columns,
+                "rows": self.rows,
+                "provenance": self.provenance,
+                "verdict": self.verdict,
+            }, indent=2)
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(self.columns)
@@ -43,7 +53,7 @@ class Report:
         return buf.getvalue()
 
     def write(self, path, fmt):
-        text = self.to_json() if fmt == "json" else self.to_csv()
+        text = self.render(fmt)
         if path in (None, "-"):
             sys.stdout.write(text)
             if not text.endswith("\n"):
@@ -69,47 +79,41 @@ def _resolve_output(args, name):
     return None
 
 
-def _parse_multiplier(args):
-    if args.form == "inverse-sqrt":
-        return multipliers.MultiplierSeq.inverse_sqrt(args.horizon,
-                                                      positive_only=not args.two_sided)
-    if args.form == "constant":
-        return multipliers.MultiplierSeq.constant(1.0, args.horizon)
-    if args.form.startswith("indicator:"):
-        vals = [int(v) for v in args.form.split(":", 1)[1].split(",") if v]
+def _parse_multiplier(form, horizon, two_sided):
+    if form == "inverse-sqrt":
+        return multipliers.MultiplierSeq.inverse_sqrt(horizon, positive_only=not two_sided)
+    if form == "constant":
+        return multipliers.MultiplierSeq.constant(1.0, horizon)
+    if form.startswith("indicator:"):
+        vals = [int(v) for v in form.split(":", 1)[1].split(",") if v]
         fs = spectra.FrequencySet(1, frozenset(vals))
-        return multipliers.MultiplierSeq.indicator(fs, args.horizon)
-    raise SystemExit(f"unknown multiplier form {args.form!r}")
+        return multipliers.MultiplierSeq.indicator(fs, horizon)
+    raise SystemExit(f"unknown multiplier form {form!r}")
 
 
 def cmd_paley_check(args):
-    m = _parse_multiplier(args)
+    m = _parse_multiplier(args.form, args.horizon, args.two_sided)
     rep = multipliers.paley_block_sums(m, args.k)
     rows = [[k, 2 ** k, s] for k, s in enumerate(rep.block_sums)]
-    config = {"form": args.form, "k": args.k, "horizon": args.horizon,
-              "two_sided": args.two_sided}
     prov = {"sup": rep.sup, "verdict": rep.verdict}
-    return Report("paley-check", config, ["k", "N", "block_sum"], rows, prov), 0
+    return Report("paley-check", ["k", "N", "block_sum"], rows, prov), 0
 
 
 def cmd_zygmund_ratio(args):
-    m = multipliers.MultiplierSeq.inverse_sqrt(args.horizon)
-    rows = []
+    polys = []
     if args.vp is not None:
-        p = extremals.vallee_poussin(args.vp)
-        rep = zygmund.zygmund_ratio(p, m, check_multiplier=False)
-        rows.append(["vp", args.vp, rep.lhs, rep.rhs, rep.ratio, rep.grid])
+        polys.append(("vp", args.vp, extremals.vallee_poussin(args.vp)))
     if args.corpus > 0:
-        polys = zygmund.block_filling_corpus(args.corpus, k_lo=args.k_lo, k_hi=args.k_hi,
-                                             seed=args.seed)
-        for i, p in enumerate(polys):
-            rep = zygmund.zygmund_ratio(p, m, check_multiplier=False)
-            rows.append(["corpus", i, rep.lhs, rep.rhs, rep.ratio, rep.grid])
-    config = {"vp": args.vp, "corpus": args.corpus, "k_lo": args.k_lo,
-              "k_hi": args.k_hi, "seed": args.seed, "horizon": args.horizon}
+        corpus = zygmund.block_filling_corpus(args.corpus, k_lo=args.k_lo, k_hi=args.k_hi,
+                                              seed=args.seed)
+        polys += [("corpus", i, p) for i, p in enumerate(corpus)]
+    rows = []
+    for kind, index, p in polys:
+        rep = zygmund.inverse_sqrt_ratio_check(p)
+        rows.append([kind, index, rep.lhs, rep.rhs, rep.ratio, rep.grid])
     ratios = [r[4] for r in rows]
     prov = {"max_ratio": max(ratios) if ratios else 0.0}
-    return Report("zygmund-ratio", config, ["kind", "index", "lhs", "rhs", "ratio", "grid"],
+    return Report("zygmund-ratio", ["kind", "index", "lhs", "rhs", "ratio", "grid"],
                   rows, prov), 0
 
 
@@ -127,10 +131,9 @@ def cmd_sharpness(args):
     for r in table.r_values:
         cols += [f"phi_{r}", f"ratio_{r}"]
     cols.append("grid")
-    config = {"n_min": args.n_min, "n_max": args.n_max, "r": rs}
     prov = {"lhs_slope": table.lhs_slope,
             "phi_slopes": {str(r): s for r, s in table.phi_slopes.items()}}
-    return Report("sharpness", config, cols, rows, prov), 0
+    return Report("sharpness", cols, rows, prov), 0
 
 
 def cmd_ingham(args):
@@ -144,14 +147,12 @@ def cmd_ingham(args):
         rows.append([k, 2 ** k, t])
         prev = t
     div = extremals.sidon_weight_divergence(args.c, args.sum_limit)
-    config = {"gamma": args.gamma, "c": args.c, "m_min": args.m_min,
-              "m_max": args.m_max, "sum_limit": args.sum_limit}
     prov = {"tails_strictly_decreasing": monotone,
             "weight_partial_sum": div.partial_sum,
             "integral_estimate": div.integral_estimate,
             "corrected_estimate": div.corrected_estimate}
     verdict = monotone
-    return Report("ingham", config, ["k", "M", "tail_sup"], rows, prov, verdict), (0 if verdict else 2)
+    return Report("ingham", ["k", "M", "tail_sup"], rows, prov, verdict), (0 if verdict else 2)
 
 
 def _base_seq(args):
@@ -164,10 +165,7 @@ def cmd_lambda_p(args):
     ens = growth.Ensemble(args.ensemble, seed=args.seed, trials=args.trials)
     p_grid = [int(v) for v in args.p.split(",")]
     rows = [list(row) for row in zip(p_grid, growth.best_ratios(fs, p_grid, ens))]
-    config = {"ratio": args.ratio, "count": args.count, "start": args.start,
-              "p": args.p, "ensemble": args.ensemble, "seed": args.seed,
-              "trials": args.trials}
-    return Report("lambda-p", config, ["p", "best_ratio"], rows,
+    return Report("lambda-p", ["p", "best_ratio"], rows,
                   {"spectrum": f"geometric({args.ratio},{args.count},{args.start})"}), 0
 
 
@@ -179,26 +177,19 @@ def cmd_bonami(args):
     p_grid = [int(v) for v in args.p.split(",")]
     rep = growth.growth_exponent(spec, p_grid, enss)
     rows = [[p, r] for p, r in zip(rep.p_grid, rep.ratios)]
-    config = {"ratio": args.ratio, "count": args.count, "start": args.start,
-              "k": args.k, "cap": args.cap, "p": args.p,
-              "ensemble": args.ensemble, "seed": args.seed, "trials": args.trials}
     prov = {"alpha": rep.alpha, "intercept": rep.intercept,
             "descriptor": rep.descriptor, "used_terms": spec.used_terms}
-    return Report("bonami", config, ["p", "best_ratio"], rows, prov), 0
+    return Report("bonami", ["p", "best_ratio"], rows, prov), 0
 
 
 def cmd_sidon_lb(args):
     lam = _base_seq(args)
     fs = spectra.FrequencySet(1, frozenset(lam.terms))
-    m = multipliers.MultiplierSeq.constant(1.0, max(lam.terms)) \
-        if args.form == "constant" else _parse_multiplier(args)
+    m = _parse_multiplier(args.form, max(lam.terms), two_sided=False)
     enss = [growth.Ensemble(kind, seed=args.seed, trials=args.trials)
             for kind in args.ensemble.split(",")]
     bound = growth.sidon_lower_bound(m, fs, enss)
-    config = {"ratio": args.ratio, "count": args.count, "start": args.start,
-              "form": args.form, "ensemble": args.ensemble, "seed": args.seed,
-              "trials": args.trials}
-    return Report("sidon-lb", config, ["lower_bound"], [[bound]],
+    return Report("sidon-lb", ["lower_bound"], [[bound]],
                   {"spectrum_size": len(fs)}), 0
 
 
@@ -220,11 +211,9 @@ def cmd_rline_paley(args):
     rep = realline.paley_inequality_probe(mu, corpus)
     sup_rep = realline.paley_sup(mu, (args.k_min, args.k_max))
     rows = [list(r) for r in rep.rows]
-    config = {"measure": args.measure, "k_min": args.k_min, "k_max": args.k_max,
-              "corpus": args.corpus, "seed": args.seed, "gap": args.gap}
     prov = {"max_ratio": rep.max_ratio, "paley_sup": sup_rep.sup,
             "sup_verdict": sup_rep.verdict}
-    return Report("rline-paley", config, ["index", "mu_l2", "square_fn", "ratio"],
+    return Report("rline-paley", ["index", "mu_l2", "square_fn", "ratio"],
                   rows, prov), 0
 
 
@@ -235,10 +224,8 @@ def cmd_rline_zygmund(args):
     for i, s in enumerate(corpus):
         rep = realline.zygmund_realline_probe(mu, s)
         rows.append([i, rep.lhs, rep.rhs, rep.ratio])
-    config = {"measure": args.measure, "k_min": args.k_min, "k_max": args.k_max,
-              "corpus": args.corpus, "seed": args.seed, "gap": args.gap}
     prov = {"max_ratio": max((r[3] for r in rows), default=0.0)}
-    return Report("rline-zygmund", config, ["index", "lhs", "rhs", "ratio"], rows, prov), 0
+    return Report("rline-zygmund", ["index", "lhs", "rhs", "ratio"], rows, prov), 0
 
 
 def cmd_selftest(args):
@@ -273,7 +260,6 @@ def build_parser():
     sp.add_argument("--k-lo", type=int, default=1)
     sp.add_argument("--k-hi", type=int, default=12)
     sp.add_argument("--seed", type=int, default=20240)
-    sp.add_argument("--horizon", type=int, default=2 ** 21)
     _out_args(sp)
     sp.set_defaults(fn=cmd_zygmund_ratio)
 
@@ -300,7 +286,8 @@ def build_parser():
         sp.add_argument("--ratio", type=int, default=2)
         sp.add_argument("--count", type=int, default=8)
         sp.add_argument("--start", type=int, default=1)
-        sp.add_argument("--p", default="4,8,16,32,64")
+        if name != "sidon-lb":
+            sp.add_argument("--p", default="4,8,16,32,64")
         sp.add_argument("--ensemble", default="random-signs")
         sp.add_argument("--seed", type=int, default=101)
         sp.add_argument("--trials", type=int, default=32)
@@ -309,8 +296,6 @@ def build_parser():
             sp.add_argument("--cap", type=int, default=4096)
         if name == "sidon-lb":
             sp.add_argument("--form", default="constant")
-            sp.add_argument("--horizon", type=int, default=2 ** 20)
-            sp.add_argument("--two-sided", action="store_true")
         _out_args(sp)
         sp.set_defaults(fn=fn)
 
@@ -326,7 +311,7 @@ def build_parser():
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
-    sp.add_argument("--tests-path", default="tests/test_acceptance.py")
+    sp.add_argument("--tests-path", default=_ACCEPTANCE_TESTS)
     sp.set_defaults(fn=cmd_selftest)
     return ap
 
@@ -345,6 +330,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     if report is not None:
+        report.config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
         report.write(_resolve_output(args, report.subcommand), args.format)
     return code
 

@@ -8,15 +8,14 @@ and is flat (coefficient 1) on |n| <= 2^N; the first coefficient past the
 flat part is 1 - 2^-N.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .multipliers import MultiplierSeq
-from .torus import (TrigPoly, lp_norm, next_pow2, orlicz_functional, synthesize,
-                    weighted_l2)
+from .torus import (TrigPoly, check_budget, lp_norm, next_pow2, orlicz_functional,
+                    synthesize, weighted_l2)
 
 
 def fejer(n: int) -> TrigPoly:
@@ -24,6 +23,7 @@ def fejer(n: int) -> TrigPoly:
     n = int(n)
     if n < 1:
         raise ValueError("order must be >= 1")
+    check_budget(2 * n + 1, f"Fejer kernel of order {n}")
     j = np.arange(-n, n + 1)
     c = 1.0 - np.abs(j) / (n + 1.0)
     return TrigPoly(1, {int(jj): complex(cc) for jj, cc in zip(j, c)})
@@ -60,18 +60,6 @@ class SharpnessTable:
     lhs_slope: float
     phi_slopes: dict
     grids: tuple
-
-    def to_json(self):
-        return json.dumps({
-            "N": list(self.n_values),
-            "r": list(self.r_values),
-            "L": list(self.lhs),
-            "phi": {str(r): list(v) for r, v in self.phi.items()},
-            "ratio": {str(r): list(v) for r, v in self.ratios.items()},
-            "lhs_slope": self.lhs_slope,
-            "phi_slopes": {str(r): v for r, v in self.phi_slopes.items()},
-            "grids": list(self.grids),
-        })
 
 
 def sharpness_experiment(n_range, r_list=(0.25, 0.5), oversample=8) -> SharpnessTable:
@@ -139,8 +127,9 @@ def ingham_tail_sup(gamma, c, M, oversample=8) -> float:
     """Grid sup-norm of S_{2M} - S_M (frequencies M+1 .. 2M), a probe of the
     cited uniform convergence."""
     M = int(M)
-    n, a = _ingham_coefficients(gamma, c, M + 1, 2 * M)
     G = next_pow2(oversample * (2 * M + 1))
+    check_budget(G, f"Ingham tail grid for M = {M}")
+    n, a = _ingham_coefficients(gamma, c, M + 1, 2 * M)
     spec = np.zeros(G, dtype=np.complex128)
     np.add.at(spec, n % G, a)
     vals = np.fft.ifft(spec) * G
@@ -167,6 +156,7 @@ def sidon_weight_divergence(c, M) -> DivergenceReport:
     M = int(M)
     if not (0.0 < c <= 1.0):
         raise ValueError("c must lie in (0, 1]")
+    check_budget(M - 1, f"weight sum up to M = {M}")
     n = np.arange(2, M + 1, dtype=float)
     partial = float(np.sum(1.0 / (n * np.log(n) ** c)))
     if c == 1.0:

@@ -23,7 +23,6 @@ growth exponent is the least-squares slope of the squared best ratios
 (energy ratios) against p.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -32,9 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .spectra import FrequencySet, LacunarySeq, sumset_bonami
-from .torus import TrigPoly, next_pow2
-
-_MAX_GRID_POINTS = 1 << 24
+from .torus import TrigPoly, check_budget, next_pow2
 
 
 @dataclass(frozen=True)
@@ -213,8 +210,7 @@ def _moment_ratios(coeffs, p_grid):
     freqs = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), -1)
     degs = np.abs(freqs).max(axis=0)
     big = tuple(next_pow2(max(p_grid) * int(d) + 1) for d in degs)
-    if math.prod(big) > _MAX_GRID_POINTS:
-        raise ValueError(f"exact grid {big} exceeds the memory cap")
+    check_budget(math.prod(big), f"exact grid {big}")
     spec = np.zeros(big, dtype=np.complex128)
     spec[tuple((freqs % big).T)] = list(coeffs.values())
     m2 = np.abs(np.fft.ifftn(spec) * math.prod(big)) ** 2
@@ -243,14 +239,6 @@ class GrowthReport:
     degenerate: bool
     ensembles: tuple
     seed_info: str
-
-    def to_json(self):
-        return json.dumps({
-            "descriptor": self.descriptor, "p_grid": list(self.p_grid),
-            "ratios": list(self.ratios), "alpha": self.alpha,
-            "intercept": self.intercept, "degenerate": self.degenerate,
-            "ensembles": [list(e) for e in self.ensembles], "seeds": self.seed_info,
-        })
 
 
 def _fit_energy_exponent(p_grid, ratios):
@@ -418,6 +406,7 @@ def sidon_lower_bound(m, freqs, ensembles, oversample=8, n_phases=16, sweeps=3) 
         raise ValueError("empty spectrum")
     d = max(max(abs(n) for n in elems), 1)
     M = next_pow2(max(oversample * (d + 1), 16))
+    check_budget(M * len(elems), f"character matrix {len(elems)} x {M}")
     j = np.arange(M)
     chars = np.exp(2j * np.pi * np.multiply.outer(np.asarray(elems) % M, j) / M)
     weights = np.array([abs(m.value_at(n)) for n in elems])

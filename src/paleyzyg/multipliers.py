@@ -7,14 +7,13 @@ interval [N, 2N] sits inside two dyadic blocks, so the dyadic sup is
 equivalent up to a factor 2).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectra import FrequencySet
-from .torus import TrigPoly, periodic_square_function_norm, weighted_l2
+from .torus import TrigPoly, check_budget, periodic_square_function_norm, weighted_l2
 
 
 @dataclass(frozen=True)
@@ -96,33 +95,6 @@ class MultiplierSeq:
             return max((abs(c) for c in self.params["values"].values()), default=0.0)
         return abs(self.params["value"])
 
-    def to_json(self):
-        params = dict(self.params)
-        if self.form == "indicator":
-            params = {"set": sorted(self.params["set"])}
-        elif self.form == "table":
-            params = {"values": [[n, c.real, c.imag]
-                      for n, c in sorted(self.params["values"].items())]}
-        elif self.form == "constant":
-            c = self.params["value"]
-            params = {"re": c.real, "im": c.imag}
-        return json.dumps({"form": self.form, "params": params, "horizon": self.horizon})
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        form, horizon, params = data["form"], int(data["horizon"]), data["params"]
-        if form == "inverse-sqrt":
-            return MultiplierSeq.inverse_sqrt(horizon, params.get("positive_only", False))
-        if form == "indicator":
-            return MultiplierSeq.indicator(FrequencySet(1, frozenset(params["set"])), horizon)
-        if form == "table":
-            return MultiplierSeq.table({n: complex(re, im) for n, re, im in params["values"]},
-                                       horizon)
-        if form == "constant":
-            return MultiplierSeq.constant(complex(params["re"], params["im"]), horizon)
-        raise ValueError(f"unknown form {form!r}")
-
 
 @dataclass(frozen=True)
 class PaleyReport:
@@ -158,6 +130,7 @@ def paley_block_sums(m: MultiplierSeq, K) -> PaleyReport:
         raise ValueError("K must be >= 0")
     if 2 ** (K + 1) > m.horizon:
         raise ValueError(f"horizon {m.horizon} too small for K={K}; need >= {2 ** (K + 1)}")
+    check_budget(2 ** K + 1, f"block {K}")
     sums = []
     for k in range(K + 1):
         ns = np.arange(2 ** k, 2 ** (k + 1) + 1, dtype=np.int64)

@@ -8,7 +8,6 @@ f_hat, densities use 64-point Gauss-Legendre quadrature per signed block
 half, which is where all the structure lives.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -200,26 +199,6 @@ class PaleyMeasure:
         _, ws = self.block_nodes(k)
         return float(ws.sum())
 
-    def to_json(self):
-        if self.kind == "atoms":
-            return json.dumps({"kind": "atoms",
-                               "atoms": [[xi, w] for xi, w in self.atoms],
-                               "gap": self.gap})
-        return json.dumps({"kind": "density", "name": self.density_name,
-                           "blocks": {"k_min": self.k_min, "k_max": self.k_max},
-                           "gap": self.gap})
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        if data["kind"] == "atoms":
-            return PaleyMeasure.from_atoms(data["atoms"], gap=data.get("gap", 0.0))
-        if data.get("name") == "inverse-abs":
-            b = data["blocks"]
-            return PaleyMeasure.inverse_abs(b["k_min"], b["k_max"])
-        raise ValueError("only atom measures and the named 'inverse-abs' density "
-                         "round-trip through JSON")
-
 
 @dataclass(frozen=True)
 class PaleySupReport:
@@ -241,14 +220,18 @@ def paley_sup(mu: PaleyMeasure, k_range) -> PaleySupReport:
 
 def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
     """int |f_hat|^2 dmu over the blocks in range (exact atom evaluations,
-    per-block quadrature for densities)."""
+    per-block quadrature for densities).  An atom counts when its signed
+    block +-[2^k, 2^{k+1}) is in range, as in block_mass; k_range=None keeps
+    every atom."""
     if mu.kind == "atoms":
-        pts = [xi for xi, w in mu.atoms if w > 0]
-        if not pts:
+        atoms = [(xi, w) for xi, w in mu.atoms if w > 0]
+        if k_range is not None:
+            lo, hi = 2.0 ** int(k_range[0]), 2.0 ** (int(k_range[1]) + 1)
+            atoms = [(xi, w) for xi, w in atoms if lo <= abs(xi) < hi]
+        if not atoms:
             return 0.0
-        fh = fourier_transform(s, np.array(pts)).values
-        return float(sum(w * abs(v) ** 2
-                         for (xi, w), v in zip([a for a in mu.atoms if a[1] > 0], fh)))
+        fh = fourier_transform(s, np.array([xi for xi, _ in atoms])).values
+        return float(sum(w * abs(v) ** 2 for (_, w), v in zip(atoms, fh)))
     if k_range is None:
         k_lo, k_hi = mu.k_min, mu.k_max
     else:

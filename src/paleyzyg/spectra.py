@@ -1,6 +1,5 @@
 """Lacunary sequences, dyadic block combinatorics, sumsets, and product spectra."""
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -66,17 +65,6 @@ class FrequencySet:
 
     def sorted_elements(self):
         return sorted(self.elements)
-
-    def to_json(self):
-        elems = [[e] if self.dim == 1 else list(e) for e in self.sorted_elements()]
-        return json.dumps({"dim": self.dim, "elements": elems})
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        dim = int(data["dim"])
-        elems = [e[0] if dim == 1 else tuple(e) for e in data["elements"]]
-        return FrequencySet(dim, frozenset(elems))
 
 
 class DyadicBlocks:

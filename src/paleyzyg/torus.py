@@ -6,13 +6,22 @@ table and uniform grid samples via the FFT; both are exact up to round-off
 whenever the grid strictly oversamples the degree (M > 2 * degree per axis).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import window
+
+# The one resource budget: no routine allocates an array of more points.
+_MAX_GRID_POINTS = 1 << 24
+
+
+def check_budget(points, what):
+    """Raise ValueError, naming the size, if `points` exceeds the budget."""
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"{what} needs {points} points, over the budget of "
+                         f"{_MAX_GRID_POINTS}")
 
 
 def _as_freq_tuple(n, dim):
@@ -81,23 +90,6 @@ class TrigPoly:
         for n, c in other.coeffs.items():
             out[n] = out.get(n, 0j) + c
         return TrigPoly(self.dim, out)
-
-    def to_json(self):
-        entries = []
-        for n, c in sorted(self.coeffs.items(), key=lambda kv: _as_freq_tuple(kv[0], self.dim)):
-            entries.append({"n": list(_as_freq_tuple(n, self.dim)) if self.dim > 1 else int(n),
-                            "re": c.real, "im": c.imag})
-        return json.dumps({"dim": self.dim, "entries": entries})
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        dim = int(data["dim"])
-        coeffs = {}
-        for e in data["entries"]:
-            n = tuple(e["n"]) if dim > 1 else int(e["n"])
-            coeffs[n] = complex(e["re"], e["im"])
-        return TrigPoly(dim, coeffs)
 
 
 def coeffs_close(p, q, rel_tol=1e-10):
@@ -169,6 +161,7 @@ def synthesize(p: TrigPoly, sizes) -> GridSignal:
         if m <= 2 * d:
             raise ValueError(
                 f"grid size {m} too small for degree {d}; need at least {next_pow2(2 * d + 1)}")
+    check_budget(math.prod(sizes), f"grid {sizes}")
     spec = np.zeros(sizes, dtype=np.complex128)
     if p.coeffs:
         keys = list(p.coeffs)

@@ -7,7 +7,6 @@ separately (|f_hat(0)| <= 1 + the log^{1/2} functional, an absolute-constant
 change only).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,10 +37,6 @@ class ZygmundReport:
     ratio: float
     grid: int
     multiplier: str
-
-    def to_json(self):
-        return json.dumps({"lhs": self.lhs, "rhs": self.rhs, "ratio": self.ratio,
-                           "grid": self.grid, "multiplier": self.multiplier})
 
 
 def dyadic_max_select(p: TrigPoly) -> GreedySelection:

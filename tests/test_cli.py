@@ -1,9 +1,11 @@
 """Subcommand wiring, determinism, exit codes, and the config echo."""
 
 import json
+import os
 
 import pytest
 
+from paleyzyg import torus
 from paleyzyg.cli import main
 
 
@@ -55,6 +57,39 @@ class TestDeterminism:
         assert json.loads(out2)["rows"] == data["rows"]
 
 
+def argv_from_config(subcommand, config):
+    argv = [subcommand]
+    for key, value in config.items():
+        if value is None or value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv + ["--format", "json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("paley-check", "--k", "6", "--two-sided"),
+    ("zygmund-ratio", "--vp", "4", "--corpus", "2", "--k-hi", "6"),
+    ("sharpness", "--n-min", "4", "--n-max", "5", "--r", "0.25,0.5"),
+    ("ingham", "--m-min", "8", "--m-max", "9", "--sum-limit", "1000"),
+    ("lambda-p", "--count", "5", "--p", "4,8", "--trials", "3"),
+    ("bonami", "--count", "5", "--k", "2", "--p", "4,8,16", "--trials", "3", "--cap", "256"),
+    ("sidon-lb", "--count", "4", "--trials", "3", "--ensemble", "flat,phase-ascent"),
+    ("rline-paley", "--corpus", "2", "--k-max", "3"),
+    ("rline-zygmund", "--corpus", "2", "--measure", "atoms:3,1;40,0.5", "--gap", "1"),
+], ids=lambda argv: argv[0])
+def test_config_echo_is_the_rerun(capsys, argv):
+    """Every flag is echoed: rebuilding argv from the echo gives the same report."""
+    _, out = run_cli(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    _, out2 = run_cli(capsys, *argv_from_config(argv[0], data["config"]))
+    again = json.loads(out2)
+    assert again["config"] == data["config"]
+    assert again["rows"] == data["rows"]
+    assert again["provenance"] == data["provenance"]
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["definitely-not-a-command"]) == 1
@@ -67,6 +102,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "gamma must lie in (0, 1)" in captured.err
+
+    @pytest.mark.parametrize("argv", [("sidon-lb", "--p", "4"),
+                                      ("zygmund-ratio", "--horizon", "8")])
+    def test_removed_flags_rejected(self, capsys, argv):
+        assert main(list(argv)) == 1
+
+    def test_over_budget_exits_1_with_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(torus, "_MAX_GRID_POINTS", 1 << 10)
+        assert main(["ingham", "--m-min", "8", "--m-max", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "M = 256 needs 8192 points, over the budget of 1024" in captured.err
 
     def test_ingham_verdict_success(self, capsys):
         code, out = run_cli(capsys, "ingham", "--m-min", "8", "--m-max", "11",
@@ -122,3 +169,10 @@ class TestSelftest:
 
     def test_missing_path(self, capsys):
         assert main(["selftest", "--tests-path", "no/such/dir"]) == 1
+
+    def test_default_path_from_another_directory(self, capsys, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr(pytest, "main", lambda args: ran.append(args[0]) or 0)
+        monkeypatch.chdir(tmp_path)
+        assert main(["selftest"]) == 0
+        assert os.path.basename(ran[0]) == "test_acceptance.py" and os.path.isfile(ran[0])

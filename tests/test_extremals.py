@@ -1,5 +1,6 @@
 """Kernel constructions, the sharpness sweep, and the Ingham example."""
 
+import json
 import math
 
 import numpy as np
@@ -102,9 +103,10 @@ class TestSharpness:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "N,L_N,phi_0.25,ratio_0.25,phi_0.5,ratio_0.5,grid"
         assert len(lines) == 3 + 1
-        import json
-        data = json.loads(table.to_json())
-        assert data["N"] == list(table.n_values)
+        assert main(["sharpness", "--n-min", "4", "--n-max", "9", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [row[0] for row in data["rows"]] == list(table.n_values)
+        assert [row[1] for row in data["rows"]] == list(table.lhs)
 
     def test_inadequate_oversampling_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Moment growth probes, the Gram-matrix algebra, and weighted-sum bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -103,12 +104,11 @@ class TestGrowthExponent:
                       for k in (1, 2, 3)]
             assert all(b >= a - 0.1 for a, b in zip(alphas, alphas[1:]))
 
-    def test_report_json(self):
-        import json
-        rep = growth_exponent(FrequencySet(1, frozenset([1, 4])), (4, 8, 16),
-                              Ensemble("flat"))
-        data = json.loads(rep.to_json())
-        assert data["p_grid"] == [4, 8, 16]
+    def test_report_json(self, capsys):
+        assert main(["bonami", "--count", "3", "--k", "1", "--p", "4,8,16",
+                     "--ensemble", "flat", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [row[0] for row in data["rows"]] == [4, 8, 16]
 
 
 class TestTensor:

@@ -23,15 +23,6 @@ class TestForms:
         assert MultiplierSeq.constant(2j, 10).sup_norm() == 2.0
         assert MultiplierSeq.table({3: 0.5, -1: 2.0}).sup_norm() == 2.0
 
-    def test_json_round_trip(self):
-        for m in (MultiplierSeq.inverse_sqrt(64, positive_only=True),
-                  MultiplierSeq.indicator(FrequencySet(1, frozenset([1, 8]))),
-                  MultiplierSeq.table({2: 1 + 1j}),
-                  MultiplierSeq.constant(3.0, 32)):
-            q = MultiplierSeq.from_json(m.to_json())
-            for n in (-8, -2, 0, 1, 2, 3, 8):
-                assert q.value_at(n) == m.value_at(n)
-
 
 class TestBlockSums:
     def test_single_point_indicator(self):

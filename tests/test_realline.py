@@ -146,14 +146,6 @@ class TestPaleyMeasure:
         for kr in ((0, 7),):
             assert paley_sup(merged, kr).sup <= paley_sup(a, kr).sup + paley_sup(b, kr).sup
 
-    def test_json_round_trip(self):
-        mu = PaleyMeasure.from_atoms([(2.0, 1.0), (-8.0, 0.5)], gap=1.0)
-        q = PaleyMeasure.from_json(mu.to_json())
-        assert q.atoms == mu.atoms and q.gap == mu.gap
-        d = PaleyMeasure.inverse_abs(-4, 6)
-        q = PaleyMeasure.from_json(d.to_json())
-        assert q.block_mass(3) == pytest.approx(d.block_mass(3), rel=1e-14)
-
 
 class TestProbe:
     def test_zero_measure_ratio_zero(self):
@@ -172,6 +164,20 @@ class TestProbe:
         mu = PaleyMeasure.from_atoms([(1.5 * 2.0 ** k + 0.25, 1.0)])
         rep = paley_inequality_probe(mu, [f])
         assert rep.max_ratio <= 1.0 + 0.05
+
+    def test_atoms_restricted_to_k_range(self):
+        # modulated Gaussians: |f_hat| is about 1.25 at xi = 3 (block 1) and xi = 40 (block 5)
+        L, M = 4.0, 2048
+        x = -L + (2 * L / M) * np.arange(M)
+        f = CompactSignal(np.exp(-x ** 2 / 0.5) * (np.exp(6j * np.pi * x)
+                                                    + np.exp(80j * np.pi * x)), L)
+        low = PaleyMeasure.from_atoms([(3.0, 1.0)])
+        both = PaleyMeasure.from_atoms([(3.0, 1.0), (40.0, 2.0)])
+        assert mu_l2_sq(low, f) > 1.0
+        assert mu_l2_sq(both, f, (6, 6)) == 0.0
+        assert mu_l2_sq(both, f, (0, 1)) == mu_l2_sq(low, f)
+        assert mu_l2_sq(both, f, (-10, 5)) == pytest.approx(mu_l2_sq(both, f), rel=1e-15)
+        assert mu_l2_sq(both, f) > 2.0 * mu_l2_sq(low, f)
 
     def test_corpus_bounded(self):
         mu = PaleyMeasure.inverse_abs(-10, 4)

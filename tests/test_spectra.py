@@ -128,10 +128,6 @@ class TestProduct:
         b = FrequencySet(1, frozenset(3 ** k for k in range(3)))
         assert len(product_set([a, b])) == 9
 
-    def test_json_round_trip(self):
-        fs = FrequencySet(2, frozenset({(1, 2), (-3, 4)}))
-        assert FrequencySet.from_json(fs.to_json()).elements == fs.elements
-
 
 class TestRatioVerdict:
     def test_true_case(self):

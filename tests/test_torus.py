@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paleyzyg import (GridSignal, MultiplierSeq, TrigPoly, analyze, coeffs_close,
+from paleyzyg import (Ensemble, FrequencySet, GridSignal, MultiplierSeq, TrigPoly, analyze,
+                      coeffs_close, even_p_ratio, fejer, ingham_tail_sup, paley_block_sums,
+                      sidon_lower_bound, sidon_weight_divergence,
                       lp_norm, orlicz_functional, periodic_square_function_norm,
                       synthesize, vallee_poussin, weighted_l2)
+from paleyzyg import torus
 from paleyzyg.torus import square_function_blocks
 
 
@@ -36,13 +39,6 @@ class TestTrigPoly:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TrigPoly(2, {(1, 2, 3): 1.0})
-
-    def test_json_round_trip(self):
-        p = TrigPoly(1, {-2: 1 + 2j, 5: -0.5j})
-        q = TrigPoly.from_json(p.to_json())
-        assert q.coeffs == p.coeffs
-        p2 = TrigPoly(2, {(1, -1): 3.0})
-        assert TrigPoly.from_json(p2.to_json()).coeffs == p2.coeffs
 
 
 class TestSynthesize:
@@ -226,3 +222,31 @@ class TestSquareFunction:
         assert weights == pytest.approx([0.5, 0.5])
         val = periodic_square_function_norm(TrigPoly(1, {5: 1.0}))
         assert val == pytest.approx(math.sqrt(0.5), rel=1e-9)
+
+
+class TestBudget:
+    """One cap on array sizes, checked before allocating; tested at a small cap."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(torus, "_MAX_GRID_POINTS", 64)
+
+    @pytest.mark.parametrize("call, size", [
+        (lambda: synthesize(TrigPoly(1, {3: 1.0}), 128), 128),
+        (lambda: fejer(32), 65),
+        (lambda: ingham_tail_sup(0.5, 0.8, 4), 128),
+        (lambda: sidon_weight_divergence(0.8, 100), 99),
+        (lambda: paley_block_sums(MultiplierSeq.inverse_sqrt(2 ** 10), 6), 65),
+        (lambda: sidon_lower_bound(MultiplierSeq.constant(1.0, 8),
+                                   FrequencySet(1, frozenset([1, 2, 4, 8])),
+                                   Ensemble("flat")), 512),
+        (lambda: even_p_ratio({5: 1.0}, 16), 128),
+    ])
+    def test_over_cap_names_the_size(self, call, size):
+        with pytest.raises(ValueError, match=f"needs {size} points, over the budget of 64"):
+            call()
+
+    def test_at_cap_allowed(self):
+        assert synthesize(TrigPoly(1, {3: 1.0}), 64).npoints == 64
+        assert len(fejer(31).coeffs) == 63
+        assert len(paley_block_sums(MultiplierSeq.inverse_sqrt(2 ** 10), 5).block_sums) == 6

@@ -1,5 +1,6 @@
 """Greedy block selection, the even/odd split, and the ratio harness."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from paleyzyg import (FrequencySet, MultiplierSeq, TrigPoly, block_filling_corpus,
                       inverse_sqrt_ratio_check, dyadic_max_select, even_odd_split,
                       vallee_poussin, zygmund_ratio)
+from paleyzyg.cli import main
 from paleyzyg.spectra import DyadicBlocks
 
 
@@ -131,9 +133,8 @@ class TestRatioHarness:
             ratios.append(rep.ratio)
         assert max(ratios) / min(ratios) <= 1.6
 
-    def test_report_json(self):
-        import json
-        p = TrigPoly(1, {3: 1.0})
-        rep = zygmund_ratio(p, MultiplierSeq.inverse_sqrt(8), check_multiplier=False)
-        data = json.loads(rep.to_json())
-        assert set(data) == {"lhs", "rhs", "ratio", "grid", "multiplier"}
+    def test_report_json(self, capsys):
+        assert main(["zygmund-ratio", "--vp", "4", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["columns"] == ["kind", "index", "lhs", "rhs", "ratio", "grid"]
+        assert len(data["rows"]) == 1
