@@ -8,6 +8,7 @@ _TWO_PI = 2.0 * np.pi
 USING_NUMBA = False
 
 
+# perfbench/tests reads paleyzyg._kernels.nudft, so the name stays bound here.
 def nudft(values, points, freqs):
     """Nonuniform DFT: out[i] = sum_j values[j] * exp(-2*pi*i*freqs[i]*points[j]).
 

@@ -195,6 +195,9 @@ def cmd_sidon_lb(args):
 
 def _parse_measure(args):
     if args.measure == "inverse-abs":
+        if args.gap != 0.0:
+            raise ValueError("--gap applies to atoms only; inverse-abs vanishes below "
+                             "2^k_min by construction")
         return realline.PaleyMeasure.inverse_abs(args.k_min, args.k_max)
     if args.measure.startswith("atoms:"):
         pairs = []
@@ -222,7 +225,7 @@ def cmd_rline_zygmund(args):
     corpus = realline.random_mean_zero_corpus(args.corpus, seed=args.seed)
     rows = []
     for i, s in enumerate(corpus):
-        rep = realline.zygmund_realline_probe(mu, s)
+        rep = realline.zygmund_realline_probe(mu, s, (args.k_min, args.k_max))
         rows.append([i, rep.lhs, rep.rhs, rep.ratio])
     prov = {"max_ratio": max((r[3] for r in rows), default=0.0)}
     return Report("rline-zygmund", ["index", "lhs", "rhs", "ratio"], rows, prov), 0

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multipliers import MultiplierSeq
-from .torus import (TrigPoly, check_budget, lp_norm, next_pow2, orlicz_functional,
-                    synthesize, weighted_l2)
+from .torus import (SUP_L1_FACTOR, TrigPoly, check_budget, grid_size, lp_norm,
+                    orlicz_functional, synthesize, weighted_l2)
 
 
 def fejer(n: int) -> TrigPoly:
@@ -40,6 +40,7 @@ def vallee_poussin(N: int) -> TrigPoly:
 
 
 def _ols_slope(xs, ys):
+    """Least-squares (slope, intercept) of log ys against log xs."""
     x = np.log(np.asarray(xs, dtype=float))
     y = np.log(np.asarray(ys, dtype=float))
     A = np.vstack([x, np.ones_like(x)]).T
@@ -62,15 +63,13 @@ class SharpnessTable:
     grids: tuple
 
 
-def sharpness_experiment(n_range, r_list=(0.25, 0.5), oversample=8) -> SharpnessTable:
+def sharpness_experiment(n_range, r_list=(0.25, 0.5)) -> SharpnessTable:
     """Sweep N over n_range: exact weighted l2 of V_{2^N} under the
-    inverse-sqrt weight versus the Orlicz functionals Phi_r on grids of at
-    least oversample * 2^{N+1} points."""
+    inverse-sqrt weight versus the Orlicz functionals Phi_r on grids of
+    grid_size(degree, SUP_L1_FACTOR) = 2^{N+4} points."""
     n_values = tuple(int(N) for N in n_range)
     if any(N < 1 for N in n_values):
         raise ValueError("N values must be >= 1")
-    if oversample < 8:
-        raise ValueError("oversample must be >= 8 so sup and L1 readings are trustworthy")
     r_values = tuple(float(r) for r in r_list)
     lhs, grids = [], []
     phi = {r: [] for r in r_values}
@@ -78,7 +77,7 @@ def sharpness_experiment(n_range, r_list=(0.25, 0.5), oversample=8) -> Sharpness
         vp = vallee_poussin(N)
         m = MultiplierSeq.inverse_sqrt(2 ** (N + 1))
         lhs.append(weighted_l2(vp, m))
-        M = next_pow2(oversample * 2 ** (N + 1))
+        M = grid_size(2 ** (N + 1) - 1, SUP_L1_FACTOR)     # the degree of V_{2^N}
         grids.append(M)
         vals = synthesize(vp, M)
         for r in r_values:
@@ -123,11 +122,11 @@ def ingham_partial_sum(gamma, c, M) -> TrigPoly:
     return TrigPoly(1, {int(nn): complex(aa) for nn, aa in zip(n, a)})
 
 
-def ingham_tail_sup(gamma, c, M, oversample=8) -> float:
+def ingham_tail_sup(gamma, c, M) -> float:
     """Grid sup-norm of S_{2M} - S_M (frequencies M+1 .. 2M), a probe of the
     cited uniform convergence."""
     M = int(M)
-    G = next_pow2(oversample * (2 * M + 1))
+    G = grid_size(2 * M, SUP_L1_FACTOR)
     check_budget(G, f"Ingham tail grid for M = {M}")
     n, a = _ingham_coefficients(gamma, c, M + 1, 2 * M)
     spec = np.zeros(G, dtype=np.complex128)
@@ -156,6 +155,8 @@ def sidon_weight_divergence(c, M) -> DivergenceReport:
     M = int(M)
     if not (0.0 < c <= 1.0):
         raise ValueError("c must lie in (0, 1]")
+    if M < 2:
+        raise ValueError("M must be >= 2")
     check_budget(M - 1, f"weight sum up to M = {M}")
     n = np.arange(2, M + 1, dtype=float)
     partial = float(np.sum(1.0 / (n * np.log(n) ** c)))
@@ -168,7 +169,7 @@ def sidon_weight_divergence(c, M) -> DivergenceReport:
                             corrected_estimate=integral + 0.5 * f2, c=c, M=M)
 
 
-def ingham_weight_trend(gamma, c, m_values, oversample=8):
+def ingham_weight_trend(gamma, c, m_values):
     """Rows (M, weighted coefficient sum, grid sup, ratio) for the partial
     sums S_M under the inverse-sqrt weight.
 
@@ -181,7 +182,6 @@ def ingham_weight_trend(gamma, c, m_values, oversample=8):
         M = int(M)
         p = ingham_partial_sum(gamma, c, M)
         num = sidon_weight_divergence(c, M).partial_sum
-        G = next_pow2(oversample * (M + 1))
-        sup = lp_norm(synthesize(p, G), math.inf)
+        sup = lp_norm(synthesize(p, grid_size(M, SUP_L1_FACTOR)), math.inf)
         rows.append((M, num, sup, num / sup))
     return rows

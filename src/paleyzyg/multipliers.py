@@ -153,7 +153,7 @@ def apply(m: MultiplierSeq, p: TrigPoly) -> TrigPoly:
     return TrigPoly(1, {n: m.value_at(n) * c for n, c in p.coeffs.items()})
 
 
-def h1_paley_ratio(m: MultiplierSeq, p: TrigPoly, grid=None) -> float:
+def h1_paley_ratio(m: MultiplierSeq, p: TrigPoly) -> float:
     """weighted_l2(p, m) / periodic_square_function_norm(p) on the zero-mean part.
 
     The square-function blocks never see frequency 0, so a nonzero mean
@@ -161,7 +161,7 @@ def h1_paley_ratio(m: MultiplierSeq, p: TrigPoly, grid=None) -> float:
     mean term can add |m(0) f_hat(0)| themselves).  Returns nan when the
     square-function norm vanishes (zero polynomial or support {0}).
     """
-    denom = periodic_square_function_norm(p, grid=grid)
+    denom = periodic_square_function_norm(p)
     centred = TrigPoly(1, {n: c for n, c in p.coeffs.items() if n != 0})
     num = weighted_l2(centred, m)
     if denom == 0.0:

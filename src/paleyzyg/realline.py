@@ -63,20 +63,7 @@ class CompactSignal:
         return float(self.h * np.sum(a * np.sqrt(np.log1p(a))))
 
 
-@dataclass(frozen=True)
-class FreqSamples:
-    freqs: np.ndarray
-    values: np.ndarray
-    h: float
-    band: float
-
-    @property
-    def quad_error_scale(self):
-        """Rectangle-rule error is O(h^2 * ||f''||_1) inside the band."""
-        return self.h * self.h
-
-
-def fourier_transform(s: CompactSignal, freq_grid) -> FreqSamples:
+def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
     """f_hat(xi) = h * sum_j f(x_j) exp(-2 pi i xi x_j) on the given grid.
 
     Frequencies outside the validity band are rejected.
@@ -84,8 +71,7 @@ def fourier_transform(s: CompactSignal, freq_grid) -> FreqSamples:
     freqs = np.atleast_1d(np.asarray(freq_grid, dtype=float))
     if freqs.size and float(np.abs(freqs).max()) > s.band * (1 + 1e-12):
         raise ValueError(f"frequency grid exceeds the validity band |xi| <= {s.band}")
-    vals = s.h * _kernels.nudft(s.values, s.x(), freqs)
-    return FreqSamples(freqs=freqs, values=vals, h=s.h, band=s.band)
+    return s.h * _kernels.nudft(s.values, s.x(), freqs)
 
 
 def _dual_grid(s: CompactSignal):
@@ -230,7 +216,7 @@ def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
             atoms = [(xi, w) for xi, w in atoms if lo <= abs(xi) < hi]
         if not atoms:
             return 0.0
-        fh = fourier_transform(s, np.array([xi for xi, _ in atoms])).values
+        fh = fourier_transform(s, np.array([xi for xi, _ in atoms]))
         return float(sum(w * abs(v) ** 2 for (_, w), v in zip(atoms, fh)))
     if k_range is None:
         k_lo, k_hi = mu.k_min, mu.k_max
@@ -239,7 +225,7 @@ def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
     total = 0.0
     for k in range(k_lo, k_hi + 1):
         xs, ws = mu.block_nodes(k)
-        fh = fourier_transform(s, xs).values
+        fh = fourier_transform(s, xs)
         total += float(np.sum(ws * np.abs(fh) ** 2))
     return total
 

@@ -141,6 +141,18 @@ def next_pow2(n):
     return m
 
 
+SUP_L1_FACTOR = 8      # grid factor on the degree for sup and L1-type readings
+
+
+def grid_size(extent, factor):
+    """The one grid rule: the smallest power of two M >= 16 with M > factor * extent.
+
+    Factor 2 on the degree is alias-free, SUP_L1_FACTOR on it serves sup and
+    L1 readings, and p/2 on the span max - min makes an even-p moment exact:
+    |f|^p = |f^{p/2}|^2, and no two bins of f^{p/2}, spanning (p/2) * span, collide."""
+    return max(next_pow2(factor * extent + 1), 16)
+
+
 def _sizes_tuple(sizes, dim):
     if isinstance(sizes, int):
         return (sizes,) * dim
@@ -205,8 +217,9 @@ def analyze(s: GridSignal, tol=1e-12) -> TrigPoly:
 def lp_norm(s: GridSignal, p) -> float:
     """Rectangle-rule L^p norm on the grid; sup over the grid for p = inf.
 
-    Exact for even integer p whenever every axis size exceeds p * degree;
-    otherwise a quadrature approximation at the signal's declared grid.
+    Exact for even integer p whenever every axis size exceeds (p/2) * span,
+    the spectral span max - min of that axis (see grid_size); otherwise a
+    quadrature approximation at the signal's declared grid.
     """
     a = np.abs(s.values)
     if p == math.inf:
@@ -265,18 +278,17 @@ def square_function_blocks(p: TrigPoly):
     return blocks
 
 
-def periodic_square_function_norm(p: TrigPoly, grid=None) -> float:
-    """L1 norm of (sum_k |Delta_k f|**2)**(1/2) on a shared grid.
+def periodic_square_function_norm(p: TrigPoly) -> float:
+    """L1 norm of (sum_k |Delta_k f|**2)**(1/2) on a shared grid of
+    grid_size(degree, SUP_L1_FACTOR) points.
 
     The blocks Delta_k carry coefficients eta(2**-k n) f_hat(n); a nonzero
-    mean coefficient f_hat(0) never enters any block.  The grid defaults to
-    an 8x oversampling of the degree.
+    mean coefficient f_hat(0) never enters any block.
     """
     blocks = square_function_blocks(p)
     if not blocks:
         return 0.0
-    if grid is None:
-        grid = next_pow2(max(8 * (p.degree + 1), 16))
+    grid = grid_size(p.degree, SUP_L1_FACTOR)
     acc = np.zeros(grid)
     for k in sorted(blocks):
         vals = synthesize(blocks[k], grid).values

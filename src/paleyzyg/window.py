@@ -74,16 +74,16 @@ def _gauss_legendre(n):
     return _GL_CACHE[n]
 
 
-def eta_inverse_transform(x, nodes=96):
+def eta_inverse_transform(x):
     """The inverse Fourier transform of eta at points x.
 
     eta is even and piecewise linear, so the transform is real and even:
     2 * int_1^3 eta(s) cos(2 pi s x) ds, evaluated by Gauss-Legendre
     quadrature on the three linear pieces (exact to machine precision at
-    this node count for the x ranges used here).
+    96 nodes for the x ranges used here).
     """
     x = np.asarray(x, dtype=float)
-    gx, gw = _gauss_legendre(nodes)
+    gx, gw = _gauss_legendre(96)
     total = np.zeros(x.shape)
     for a, b in ((1.0, 1.5), (1.5, 2.0), (2.0, 3.0)):
         s = 0.5 * (b - a) * gx + 0.5 * (a + b)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .multipliers import MultiplierSeq, paley_block_sums
 from .spectra import DyadicBlocks, LacunarySeq, is_lacunary_with_ratio_in
-from .torus import TrigPoly, next_pow2, orlicz_functional, synthesize, weighted_l2
+from .torus import TrigPoly, grid_size, orlicz_functional, synthesize, weighted_l2
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,19 @@ def _check_bounded(m: MultiplierSeq):
                          f"(verdict {report.verdict})")
 
 
-def zygmund_ratio(p: TrigPoly, m: MultiplierSeq, grid=None, check_multiplier=True) -> ZygmundReport:
-    """weighted_l2(p, m) / (1 + Phi_{1/2}(f)) on the given grid.
+def zygmund_ratio(p: TrigPoly, m: MultiplierSeq, check_multiplier=True) -> ZygmundReport:
+    """weighted_l2(p, m) / (1 + Phi_{1/2}(f)) on the smallest alias-free grid.
 
     Phi_{1/2} is the mean of |f| log^{1/2}(1 + |f|).  The multiplier must
     pass the block-sum criterion up to its horizon.
     """
     if check_multiplier:
         _check_bounded(m)
-    if grid is None:
-        # L1-type quadrature on the smallest alias-free grid; the report
-        # records the size.  Against an 8x grid the relative rhs error is
-        # 2.8e-4 on block_filling_corpus(20, k 1..12) and 1.9%, 2.6%, 2.8%
-        # for V_{2^N} at N = 4, 8, 10
-        grid = next_pow2(max(2 * p.degree + 1, 16))
+    # L1-type quadrature on grid_size(degree, 2); the report records the
+    # size.  Against an 8x grid the relative rhs error is 2.8e-4 on
+    # block_filling_corpus(20, k 1..12) and 1.9%, 2.6%, 2.8% for V_{2^N} at
+    # N = 4, 8, 10
+    grid = grid_size(p.degree, 2)
     if p.coeffs:
         vals = synthesize(p, grid)
         phi = orlicz_functional(vals, 0.5)
@@ -132,12 +131,12 @@ def zygmund_ratio(p: TrigPoly, m: MultiplierSeq, grid=None, check_multiplier=Tru
     return ZygmundReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, grid=grid, multiplier=m.form)
 
 
-def inverse_sqrt_ratio_check(p: TrigPoly, grid=None) -> ZygmundReport:
+def inverse_sqrt_ratio_check(p: TrigPoly) -> ZygmundReport:
     """Ratio harness specialised to the 1/sqrt|n| weight: the left side is
     (sum_{n != 0} |f_hat(n)|^2 / |n|)^{1/2}."""
     horizon = max(p.degree, 1)
     m = MultiplierSeq.inverse_sqrt(horizon)
-    return zygmund_ratio(p, m, grid=grid, check_multiplier=False)
+    return zygmund_ratio(p, m, check_multiplier=False)
 
 
 def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240, max_per_block=3):

@@ -115,6 +115,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "M = 256 needs 8192 points, over the budget of 1024" in captured.err
 
+    def test_ingham_weight_sum_below_2_rejected(self, capsys):
+        assert main(["ingham", "--m-min", "8", "--m-max", "9", "--sum-limit", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "M must be >= 2" in captured.err
+
+    @pytest.mark.parametrize("cmd", ("rline-paley", "rline-zygmund"))
+    def test_gap_with_inverse_abs_rejected(self, capsys, cmd):
+        assert main([cmd, "--corpus", "1", "--gap", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gap applies to atoms only" in captured.err
+
     def test_ingham_verdict_success(self, capsys):
         code, out = run_cli(capsys, "ingham", "--m-min", "8", "--m-max", "11",
                             "--sum-limit", "10000", "--format", "json")
@@ -123,6 +136,16 @@ class TestExitCodes:
 
 
 class TestReports:
+    def test_rline_zygmund_atoms_follow_k_range(self, capsys):
+        argv = ("rline-zygmund", "--measure", "atoms:3,1;10,0.5", "--gap", "1",
+                "--corpus", "2", "--k-min", "0", "--format", "json")
+        _, narrow = run_cli(capsys, *argv, "--k-max", "1")
+        _, wide = run_cli(capsys, *argv, "--k-max", "3")
+        lhs_narrow = [row[1] for row in json.loads(narrow)["rows"]]
+        lhs_wide = [row[1] for row in json.loads(wide)["rows"]]
+        # blocks 0..1 hold the atom at 3 only; blocks 0..3 add the one at 10
+        assert all(a < b for a, b in zip(lhs_narrow, lhs_wide))
+
     def test_sharpness_report(self, capsys):
         code, out = run_cli(capsys, "sharpness", "--n-min", "4", "--n-max", "6",
                             "--format", "json")

@@ -108,10 +108,6 @@ class TestSharpness:
         assert [row[0] for row in data["rows"]] == list(table.n_values)
         assert [row[1] for row in data["rows"]] == list(table.lhs)
 
-    def test_inadequate_oversampling_rejected(self):
-        with pytest.raises(ValueError):
-            sharpness_experiment(range(4, 6), (0.5,), oversample=2)
-
 
 class TestIngham:
     def test_parameter_window(self):

@@ -14,6 +14,7 @@ from paleyzyg import (Ensemble, FrequencySet, MultiplierSeq, PlainSpectrum,
                       offdiagonal_split, sidon_lower_bound, synthesize, tensor_growth)
 from paleyzyg.cli import main
 from paleyzyg.growth import _moment_ratios
+from paleyzyg.torus import grid_size
 
 P_GRID = (4, 8, 16, 32, 64)
 
@@ -302,21 +303,44 @@ class TestMomentRoutine:
                 Ensemble("steinhaus", seed=3), 0)
         if which == "sumset":
             return SumsetSpectrum(lam, 2).draw(Ensemble("random-signs", seed=4), 0)
+        # one-sided and shifted spectra, whose span grids are 2-4x smaller
+        # than their degree grids
+        if which == "lacunary":
+            return PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 8).terms))
+                                 ).draw(Ensemble("steinhaus", seed=3), 0)
+        if which == "shifted":
+            return {1000: 1.0, 1003: 0.5j, 1009: -1.0}
+        if which == "negative":
+            return {-517: 1.0, -512: 2.0, -509: 1j}
+        if which == "nd-shifted":
+            return {(20, -8): 1.0, (22, -6): 1j, (25, -8): -0.5, (20, -3): 1.0}
         rng = np.random.default_rng(45)
         return {(int(a), int(b)): complex(*rng.standard_normal(2))
                 for a in (-5, 0, 2, 7) for b in (1, 3, 4)}
 
-    @pytest.mark.parametrize("which", ("plain", "sumset", "nd"))
+    @pytest.mark.parametrize("which", ("plain", "sumset", "nd", "lacunary", "shifted",
+                                       "negative", "nd-shifted"))
     def test_p_grid_matches_per_p(self, which):
-        # one synthesis on the grid of p = 64, read at every p, against a
-        # synthesis on each p's own exact grid
+        # one synthesis on the span grid of p = 64, read at every p, against
+        # a synthesis on each p's degree grid next_pow2(p * degree + 1)
         table = self._table(which)
-        f = TrigPoly(len(next(iter(table))) if which == "nd" else 1, table)
+        f = TrigPoly(2 if which.startswith("nd") else 1, table)
         ratios = _moment_ratios(table, P_GRID)
         for p, r in zip(P_GRID, ratios):
             vals = synthesize(f, tuple(next_pow2(p * d + 1) for d in f.degrees))
             assert r == pytest.approx(lp_norm(vals, p) / lp_norm(vals, 2), rel=1e-12)
             assert r == pytest.approx(even_p_ratio(table, p), rel=1e-12)
+
+    @pytest.mark.parametrize("which, p", [("lacunary", 4), ("negative", 4)])
+    def test_span_grid_one_power_smaller_aliases(self, which, p):
+        # one power of two below the rule, bins of f^{p/2} collide
+        table = self._table(which)
+        M = grid_size(max(table) - min(table), p // 2) // 2
+        spec = np.zeros(M, dtype=np.complex128)
+        spec[np.array(list(table)) % M] = list(table.values())
+        m2 = np.abs(np.fft.ifft(spec) * M) ** 2
+        ratio = np.mean(m2 ** (p // 2)) ** (1 / p) / math.sqrt(np.mean(m2))
+        assert abs(ratio / even_p_ratio(table, p) - 1) > 1e-3
 
     def test_best_ratios_match_lambda_p(self):
         spec = SumsetSpectrum(geometric_lacunary(2, 6), 2)

@@ -224,6 +224,14 @@ class TestSquareFunction:
         assert val == pytest.approx(math.sqrt(0.5), rel=1e-9)
 
 
+class TestGridSize:
+    def test_smallest_power_of_two_past_the_extent(self):
+        # M >= 16 and M > factor * extent
+        assert [torus.grid_size(e, 8) for e in (0, 1, 2, 3, 4)] == [16, 16, 32, 32, 64]
+        assert [torus.grid_size(e, 2) for e in (7, 8, 15, 16)] == [16, 32, 32, 64]
+        assert torus.grid_size(127, 32) == 4096
+
+
 class TestBudget:
     """One cap on array sizes, checked before allocating; tested at a small cap."""
 
@@ -240,7 +248,7 @@ class TestBudget:
         (lambda: sidon_lower_bound(MultiplierSeq.constant(1.0, 8),
                                    FrequencySet(1, frozenset([1, 2, 4, 8])),
                                    Ensemble("flat")), 512),
-        (lambda: even_p_ratio({5: 1.0}, 16), 128),
+        (lambda: even_p_ratio({0: 1.0, 9: 1.0}, 16), 128),
     ])
     def test_over_cap_names_the_size(self, call, size):
         with pytest.raises(ValueError, match=f"needs {size} points, over the budget of 64"):
@@ -248,5 +256,6 @@ class TestBudget:
 
     def test_at_cap_allowed(self):
         assert synthesize(TrigPoly(1, {3: 1.0}), 64).npoints == 64
+        assert even_p_ratio({5: 1.0}, 16) == pytest.approx(1.0, abs=1e-12)   # 16 points
         assert len(fejer(31).coeffs) == 63
         assert len(paley_block_sums(MultiplierSeq.inverse_sqrt(2 ** 10), 5).block_sums) == 6

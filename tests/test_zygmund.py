@@ -111,8 +111,9 @@ class TestRatioHarness:
 
     def test_zero_polynomial(self):
         m = MultiplierSeq.inverse_sqrt(16)
-        rep = zygmund_ratio(TrigPoly(1, {}), m, grid=32, check_multiplier=False)
+        rep = zygmund_ratio(TrigPoly(1, {}), m, check_multiplier=False)
         assert rep.ratio == 0.0
+        assert rep.grid == 16
 
     def test_unimodular_scaling_invariance(self):
         p = TrigPoly(1, {1: 1.0, 5: 2.0, 9: 1.5})
