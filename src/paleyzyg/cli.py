@@ -88,7 +88,7 @@ def _parse_multiplier(form, horizon, two_sided):
         vals = [int(v) for v in form.split(":", 1)[1].split(",") if v]
         fs = spectra.FrequencySet(1, frozenset(vals))
         return multipliers.MultiplierSeq.indicator(fs, horizon)
-    raise SystemExit(f"unknown multiplier form {form!r}")
+    raise ValueError(f"unknown multiplier form {form!r}")
 
 
 def cmd_paley_check(args):
@@ -205,7 +205,7 @@ def _parse_measure(args):
             xi, w = part.split(",")
             pairs.append((float(xi), float(w)))
         return realline.PaleyMeasure.from_atoms(pairs, gap=args.gap)
-    raise SystemExit(f"unknown measure {args.measure!r}")
+    raise ValueError(f"unknown measure {args.measure!r}")
 
 
 def cmd_rline_paley(args):
@@ -327,8 +327,6 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         report, code = args.fn(args)
-    except SystemExit:
-        return 1
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

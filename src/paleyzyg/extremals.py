@@ -4,8 +4,9 @@ log^{1/2} sharpness sweep, and the Ingham-series example.
 The Fejer kernel of order n carries coefficients 1 - |j|/(n+1) for |j| <= n,
 so its L1 norm is exactly 1 (positivity) and its value at 0 is n+1.  The de
 la Vallee Poussin kernel combines two of them, 2 K_{2^{N+1}-1} - K_{2^N-1},
-and is flat (coefficient 1) on |n| <= 2^N; the first coefficient past the
-flat part is 1 - 2^-N.
+whose coefficients have the closed form min(1, 2 - |n|/2^N): flat
+(coefficient 1) on |n| <= 2^N, and the first coefficient past the flat part
+is 1 - 2^-N.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multipliers import MultiplierSeq
-from .torus import (SUP_L1_FACTOR, TrigPoly, check_budget, grid_size, lp_norm,
+from .torus import (SUP_L1_FACTOR, TrigPoly, _sample, check_budget, grid_size, lp_norm,
                     orlicz_functional, synthesize, weighted_l2)
 
 
@@ -26,17 +27,22 @@ def fejer(n: int) -> TrigPoly:
     check_budget(2 * n + 1, f"Fejer kernel of order {n}")
     j = np.arange(-n, n + 1)
     c = 1.0 - np.abs(j) / (n + 1.0)
-    return TrigPoly(1, {int(jj): complex(cc) for jj, cc in zip(j, c)})
+    return TrigPoly(1, dict(zip(j.tolist(), c.tolist())))
 
 
 def vallee_poussin(N: int) -> TrigPoly:
-    """V_{2^N} = 2 K_{2^{N+1}-1} - K_{2^N-1}; flat coefficient 1 on |n| <= 2^N."""
+    """V_{2^N} = 2 K_{2^{N+1}-1} - K_{2^N-1}, built from its closed form:
+    coefficients min(1, 2 - |j|/2^N) for |j| <= 2^{N+1} - 1, flat 1 on
+    |j| <= 2^N.  Every operation on the way is exact in floating point, so
+    the table equals the combination of the two Fejer tables bit for bit."""
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    big = fejer(2 ** (N + 1) - 1).scaled(2.0)
-    small = fejer(2 ** N - 1).scaled(-1.0)
-    return big.plus(small)
+    n = 2 ** (N + 1) - 1
+    check_budget(2 * n + 1, f"de la Vallee Poussin kernel V_{2 ** N}")
+    j = np.arange(-n, n + 1)
+    c = np.minimum(1.0, 2.0 - np.abs(j) / 2.0 ** N)
+    return TrigPoly(1, dict(zip(j.tolist(), c.tolist())))
 
 
 def _ols_slope(xs, ys):
@@ -119,7 +125,7 @@ def ingham_partial_sum(gamma, c, M) -> TrigPoly:
     if M < 3:
         raise ValueError("M must be >= 3")
     n, a = _ingham_coefficients(gamma, c, 2, M)
-    return TrigPoly(1, {int(nn): complex(aa) for nn, aa in zip(n, a)})
+    return TrigPoly(1, dict(zip(n.tolist(), a.tolist())))
 
 
 def ingham_tail_sup(gamma, c, M) -> float:
@@ -129,10 +135,7 @@ def ingham_tail_sup(gamma, c, M) -> float:
     G = grid_size(2 * M, SUP_L1_FACTOR)
     check_budget(G, f"Ingham tail grid for M = {M}")
     n, a = _ingham_coefficients(gamma, c, M + 1, 2 * M)
-    spec = np.zeros(G, dtype=np.complex128)
-    np.add.at(spec, n % G, a)
-    vals = np.fft.ifft(spec) * G
-    return float(np.abs(vals).max())
+    return float(np.abs(_sample(n[:, None], a, (G,))).max())
 
 
 @dataclass(frozen=True)

@@ -58,20 +58,10 @@ class MultiplierSeq:
         return MultiplierSeq("constant", int(horizon), {"value": complex(c)})
 
     def value_at(self, n):
-        n = int(n)
-        if self.form == "inverse-sqrt":
-            if n == 0 or (self.params["positive_only"] and n < 0):
-                return 0j
-            return complex(1.0 / math.sqrt(abs(n)))
-        if self.form == "indicator":
-            return complex(1.0) if n in self.params["set"] else 0j
-        if self.form == "table":
-            return self.params["values"].get(n, 0j)
-        if self.form == "constant":
-            return self.params["value"]
-        raise ValueError(f"unknown form {self.form!r}")
+        return complex(self.values_at([n])[0])
 
     def values_at(self, ns):
+        """m(n) for every n of an integer array, as a complex array of its shape."""
         ns = np.asarray(ns, dtype=np.int64)
         if self.form == "inverse-sqrt":
             out = np.zeros(ns.shape, dtype=np.complex128)
@@ -84,7 +74,11 @@ class MultiplierSeq:
             members = np.fromiter(self.params["set"], dtype=np.int64,
                                   count=len(self.params["set"]))
             return np.isin(ns, members).astype(np.complex128)
-        return np.array([self.value_at(int(n)) for n in ns], dtype=np.complex128)
+        if self.form == "table":
+            tbl = self.params["values"]
+            return np.array([tbl.get(n, 0j) for n in ns.ravel().tolist()],
+                            dtype=np.complex128).reshape(ns.shape)
+        raise ValueError(f"unknown form {self.form!r}")
 
     def sup_norm(self):
         if self.form == "inverse-sqrt":
@@ -148,9 +142,9 @@ def apply(m: MultiplierSeq, p: TrigPoly) -> TrigPoly:
     """Coefficient-wise product m(n) * f_hat(n); support must fit the horizon."""
     if p.dim != 1:
         raise ValueError("multiplier application is 1D")
-    if p.coeffs and max(abs(n) for n in p.coeffs) > m.horizon:
+    if p.degree > m.horizon:
         raise ValueError("polynomial support exceeds multiplier horizon")
-    return TrigPoly(1, {n: m.value_at(n) * c for n, c in p.coeffs.items()})
+    return TrigPoly(1, dict(zip(p.coeffs, (m.values_at(p.freqs[:, 0]) * p.values).tolist())))
 
 
 def h1_paley_ratio(m: MultiplierSeq, p: TrigPoly) -> float:

@@ -141,13 +141,18 @@ class PaleyMeasure:
 
     @staticmethod
     def from_atoms(pairs, gap=0.0):
+        gap = float(gap)
+        if not (math.isfinite(gap) and gap >= 0):
+            raise ValueError(f"gap must be finite and >= 0, got {gap}")
         atoms = tuple((float(xi), float(w)) for xi, w in pairs)
         for xi, w in atoms:
+            if not (math.isfinite(xi) and math.isfinite(w)):
+                raise ValueError(f"atom ({xi}, {w}) is not finite")
             if w < 0:
                 raise ValueError("atom weights must be non-negative")
             if gap > 0 and abs(xi) <= gap and w > 0:
                 raise ValueError("an atom sits inside the declared gap")
-        return PaleyMeasure(kind="atoms", atoms=atoms, gap=float(gap))
+        return PaleyMeasure(kind="atoms", atoms=atoms, gap=gap)
 
     @staticmethod
     def from_density(fn, k_min, k_max, gap=None, name="custom"):

@@ -1,9 +1,11 @@
 """Trigonometric polynomials on the torus and their norm functionals.
 
 Coefficients are stored sparsely (integer frequency -> complex value, zero
-entries elided).  ``synthesize``/``analyze`` move between the coefficient
-table and uniform grid samples via the FFT; both are exact up to round-off
-whenever the grid strictly oversamples the degree (M > 2 * degree per axis).
+entries elided), as a dict and as the arrays it is validated into.
+``synthesize``/``analyze`` move between the coefficient table and uniform
+grid samples via the FFT; both are exact up to round-off whenever the grid
+strictly oversamples the degree (M > 2 * degree per axis).  ``_sample`` is
+the one scatter of a sparse table into a grid, for every module.
 """
 
 import math
@@ -24,37 +26,53 @@ def check_budget(points, what):
                          f"{_MAX_GRID_POINTS}")
 
 
-def _as_freq_tuple(n, dim):
-    if dim == 1:
-        return (int(n),)
-    return tuple(int(v) for v in n)
+def _key_error(keys, dim):
+    """The error naming the first key that is not a frequency of arity dim."""
+    shape, expect = ((), "an integer") if dim == 1 else ((dim,), f"a tuple of {dim} integers")
+    for n in keys:
+        a = np.asarray(n)
+        if a.shape != shape or a.dtype.kind not in "iu":
+            return ValueError(f"frequency {n!r} is not {expect}")
+    return ValueError("frequencies do not fit in int64")
 
 
 @dataclass(frozen=True)
 class TrigPoly:
     """Finitely supported coefficient table f_hat on Z**dim.
 
-    Frequencies are ints for dim == 1 and tuples of ints otherwise.  Zero
-    coefficients are dropped on construction.
+    Frequencies are ints for dim == 1 and tuples of ints otherwise.  The table
+    is validated once, as arrays: ``freqs`` (n x dim int64) and ``values``
+    (complex128) hold it in the order of ``coeffs``, and every consumer that
+    computes reads them.  Zero coefficients are dropped from all three.
     """
 
     dim: int
     coeffs: dict = field(default_factory=dict)
+    freqs: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        clean = {}
-        for n, c in self.coeffs.items():
-            key = _as_freq_tuple(n, self.dim)
-            if len(key) != self.dim:
-                raise ValueError(f"frequency {n!r} has arity {len(key)}, expected {self.dim}")
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient at {n!r}")
-            if c != 0:
-                clean[key[0] if self.dim == 1 else key] = c
-        object.__setattr__(self, "coeffs", clean)
+        keys = list(self.coeffs)
+        try:
+            freqs = np.array(keys)
+        except ValueError:
+            raise _key_error(keys, self.dim) from None
+        if keys and (freqs.shape[1:] != (() if self.dim == 1 else (self.dim,))
+                     or freqs.dtype.kind not in "iu"):
+            raise _key_error(keys, self.dim)
+        freqs = freqs.astype(np.int64).reshape(len(keys), self.dim)
+        values = np.array(list(self.coeffs.values()), dtype=np.complex128)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"non-finite coefficient at {keys[int(np.argmax(bad))]!r}")
+        keep = values != 0
+        freqs, values = freqs[keep], values[keep]
+        table = freqs[:, 0].tolist() if self.dim == 1 else map(tuple, freqs.tolist())
+        object.__setattr__(self, "coeffs", dict(zip(table, values.tolist())))
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "values", values)
 
     @property
     def support(self):
@@ -65,9 +83,7 @@ class TrigPoly:
         """Per-axis max |n| over the support (tuple of length dim)."""
         if not self.coeffs:
             return (0,) * self.dim
-        if self.dim == 1:
-            return (max(abs(n) for n in self.coeffs),)
-        return tuple(max(abs(n[a]) for n in self.coeffs) for a in range(self.dim))
+        return tuple(np.abs(self.freqs).max(axis=0).tolist())
 
     @property
     def degree(self):
@@ -78,18 +94,7 @@ class TrigPoly:
         return self.coeffs.get(key, 0j)
 
     def l2_coeff_norm(self):
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    def scaled(self, factor):
-        return TrigPoly(self.dim, {n: factor * c for n, c in self.coeffs.items()})
-
-    def plus(self, other):
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0j) + c
-        return TrigPoly(self.dim, out)
+        return math.sqrt(float(np.sum(np.abs(self.values) ** 2)))
 
 
 def coeffs_close(p, q, rel_tol=1e-10):
@@ -159,11 +164,24 @@ def _sizes_tuple(sizes, dim):
     return tuple(int(m) for m in sizes)
 
 
+def _sample(freqs, values, sizes):
+    """Samples of sum_n values[n] e^{2 pi i n . theta_j} on the grid `sizes`.
+
+    The one scatter of a sparse table into a torus grid: frequencies (an
+    n x dim int array) land in their bins modulo the sizes, where coinciding
+    bins add, and one inverse FFT scaled by the point count samples them.
+    """
+    spec = np.zeros(sizes, dtype=np.complex128)
+    np.add.at(spec, tuple((freqs % sizes).T), values)
+    return np.fft.ifftn(spec) * math.prod(sizes)
+
+
 def synthesize(p: TrigPoly, sizes) -> GridSignal:
     """Sample f(theta_j) = sum_n f_hat(n) e^{2 pi i n . theta_j} on the grid.
 
     Requires M_i > 2 * degree_i per axis so that distinct support frequencies
-    occupy distinct FFT bins (no aliasing).
+    occupy distinct FFT bins (no aliasing), and a grid within the budget;
+    the samples come from _sample on the table's arrays.
     """
     sizes = _sizes_tuple(sizes, p.dim)
     if len(sizes) != p.dim:
@@ -174,15 +192,7 @@ def synthesize(p: TrigPoly, sizes) -> GridSignal:
             raise ValueError(
                 f"grid size {m} too small for degree {d}; need at least {next_pow2(2 * d + 1)}")
     check_budget(math.prod(sizes), f"grid {sizes}")
-    spec = np.zeros(sizes, dtype=np.complex128)
-    if p.coeffs:
-        keys = list(p.coeffs)
-        vals = np.array([p.coeffs[k] for k in keys])
-        idx = np.array([_as_freq_tuple(k, p.dim) for k in keys])
-        flat = np.ravel_multi_index(tuple((idx[:, a] % sizes[a]) for a in range(p.dim)), sizes)
-        np.add.at(spec.reshape(-1), flat, vals)
-    vals = np.fft.ifftn(spec) * np.prod(sizes)
-    return GridSignal(vals)
+    return GridSignal(_sample(p.freqs, p.values, sizes))
 
 
 def analyze(s: GridSignal, tol=1e-12) -> TrigPoly:
@@ -193,25 +203,12 @@ def analyze(s: GridSignal, tol=1e-12) -> TrigPoly:
     FFT round-off does not inflate the support (pass tol=0 to keep all).
     """
     spec = np.fft.fftn(s.values) / s.npoints
-    dim = s.dim
-    scale = float(np.abs(spec).max())
-    cutoff = tol * scale
-    coeffs = {}
-    nz = np.argwhere(np.abs(spec) > cutoff)
-    for idx in nz:
-        freq = []
-        ok = True
-        for a, k in enumerate(idx):
-            m = s.sizes[a]
-            if k == m // 2:
-                ok = False
-                break
-            freq.append(int(k) if k < m // 2 else int(k) - m)
-        if not ok:
-            continue
-        key = freq[0] if dim == 1 else tuple(freq)
-        coeffs[key] = complex(spec[tuple(idx)])
-    return TrigPoly(dim, coeffs)
+    sizes = np.array(s.sizes)
+    idx = np.argwhere(np.abs(spec) > tol * float(np.abs(spec).max()))
+    idx = idx[(idx != sizes // 2).all(axis=1)]
+    freqs = np.where(idx < sizes // 2, idx, idx - sizes)
+    keys = freqs[:, 0].tolist() if s.dim == 1 else map(tuple, freqs.tolist())
+    return TrigPoly(s.dim, dict(zip(keys, spec[tuple(idx.T)].tolist())))
 
 
 def lp_norm(s: GridSignal, p) -> float:
@@ -233,8 +230,8 @@ def lp_norm(s: GridSignal, p) -> float:
 def orlicz_functional(s: GridSignal, r) -> float:
     """Mean of |f| * log(1 + |f|)**r over the grid (natural logarithm)."""
     r = float(r)
-    if r < 0:
-        raise ValueError("Orlicz exponent must be >= 0")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"Orlicz exponent must be finite and >= 0, got {r}")
     a = np.abs(s.values)
     if r == 0:
         return float(np.mean(a))
@@ -244,14 +241,12 @@ def orlicz_functional(s: GridSignal, r) -> float:
 def weighted_l2(p: TrigPoly, m) -> float:
     """(sum over supp(p) of |m(n) f_hat(n)|**2)**(1/2), dim 1 only.
 
-    ``m`` is anything exposing value_at(n) (see multipliers.MultiplierSeq).
+    ``m`` is anything exposing values_at(ns) (see multipliers.MultiplierSeq).
     """
     if p.dim != 1:
         raise ValueError("weighted_l2 is defined for dim 1")
-    total = 0.0
-    for n in sorted(p.coeffs):
-        total += abs(m.value_at(n) * p.coeffs[n]) ** 2
-    return math.sqrt(total)
+    weighted = m.values_at(p.freqs[:, 0]) * p.values
+    return math.sqrt(float(np.sum(np.abs(weighted) ** 2)))
 
 
 def square_function_blocks(p: TrigPoly):
@@ -261,20 +256,17 @@ def square_function_blocks(p: TrigPoly):
     """
     if p.dim != 1:
         raise ValueError("square function blocks are defined for dim 1")
-    mags = [abs(n) for n in p.coeffs if n != 0]
-    if not mags:
+    n = p.freqs[:, 0]
+    mags = np.abs(n[n != 0])
+    if not mags.size:
         return {}
     blocks = {}
-    for k in window.blocks_meeting(min(mags), max(mags)):
-        tbl = {}
-        for n, c in p.coeffs.items():
-            if n == 0:
-                continue
-            w = window.eta_scaled(n, k)
-            if w != 0.0:
-                tbl[n] = w * c
-        if tbl:
-            blocks[k] = TrigPoly(1, tbl)
+    for k in window.blocks_meeting(int(mags.min()), int(mags.max())):
+        w = window.eta_scaled(n, k)
+        keep = w != 0.0
+        if keep.any():
+            weighted = w[keep] * p.values[keep]
+            blocks[k] = TrigPoly(1, dict(zip(n[keep].tolist(), weighted.tolist())))
     return blocks
 
 

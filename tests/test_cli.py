@@ -128,6 +128,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--gap applies to atoms only" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("paley-check", "--form", "bogus"), "unknown multiplier form 'bogus'"),
+        (("sidon-lb", "--form", "bogus"), "unknown multiplier form 'bogus'"),
+        (("rline-paley", "--measure", "bogus", "--corpus", "1"), "unknown measure 'bogus'")])
+    def test_unknown_form_or_measure_named(self, capsys, argv, message):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rline-zygmund", "--measure", "atoms:3,1", "--gap", "nan", "--corpus", "1"),
+         "gap must be finite and >= 0"),
+        (("rline-paley", "--measure", "atoms:3,nan", "--corpus", "1"), "is not finite"),
+        (("sharpness", "--n-min", "2", "--n-max", "3", "--r", "nan"),
+         "Orlicz exponent must be finite and >= 0")])
+    def test_nan_values_rejected(self, capsys, argv, message):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_ingham_verdict_success(self, capsys):
         code, out = run_cli(capsys, "ingham", "--m-min", "8", "--m-max", "11",
                             "--sum-limit", "10000", "--format", "json")

@@ -40,6 +40,12 @@ class TestFejer:
 
 
 class TestValleePoussin:
+    def test_closed_form_is_the_fejer_combination_exactly(self):
+        for N in range(1, 13):
+            big, small = fejer(2 ** (N + 1) - 1).coeffs, fejer(2 ** N - 1).coeffs
+            combo = {j: 2.0 * c - small.get(j, 0.0) for j, c in big.items()}
+            assert vallee_poussin(N).coeffs == combo
+
     def test_flat_coefficient_example(self):
         V = vallee_poussin(3)
         # 2*(1 - 5/16) - (1 - 5/8) = 1

@@ -104,11 +104,12 @@ class TestApply:
     def test_linear(self):
         rng = np.random.default_rng(3)
         m = MultiplierSeq.inverse_sqrt(64)
-        p = TrigPoly(1, {int(n): complex(*rng.standard_normal(2)) for n in range(1, 20)})
-        q = TrigPoly(1, {int(n): complex(*rng.standard_normal(2)) for n in range(5, 30)})
-        lhs = apply(m, p.plus(q))
-        rhs = apply(m, p).plus(apply(m, q))
-        assert all(abs(lhs.coeffs[n] - rhs.coeffs.get(n, 0j)) < 1e-14 for n in lhs.coeffs)
+        p = {int(n): complex(*rng.standard_normal(2)) for n in range(1, 20)}
+        q = {int(n): complex(*rng.standard_normal(2)) for n in range(5, 30)}
+        lhs = apply(m, TrigPoly(1, {n: p.get(n, 0j) + q.get(n, 0j) for n in p.keys() | q.keys()}))
+        mp, mq = apply(m, TrigPoly(1, p)).coeffs, apply(m, TrigPoly(1, q)).coeffs
+        rhs = {n: mp.get(n, 0j) + mq.get(n, 0j) for n in mp.keys() | mq.keys()}
+        assert all(abs(lhs.coeffs[n] - rhs.get(n, 0j)) < 1e-14 for n in lhs.coeffs)
 
 
 class TestH1Ratio:

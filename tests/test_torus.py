@@ -37,8 +37,36 @@ class TestTrigPoly:
         assert p.degree == 7
 
     def test_arity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
             TrigPoly(2, {(1, 2, 3): 1.0})
+        with pytest.raises(ValueError, match=r"\(4,\)"):
+            TrigPoly(1, {3: 1.0, (4,): 1.0})
+
+    def test_numpy_int_keys(self):
+        p = TrigPoly(1, {np.int64(3): 1.0, np.int32(-2): 2j})
+        assert p.coeffs == {3: 1.0, -2: 2j}
+        assert all(type(n) is int for n in p.coeffs)
+        assert p.freqs.dtype == np.int64 and p.freqs.tolist() == [[3], [-2]]
+
+    def test_2d_keys(self):
+        p = TrigPoly(2, {(3, -7): 1.0, (np.int64(-4), 2): 0.5j})
+        assert p.coeffs == {(3, -7): 1.0, (-4, 2): 0.5j}
+        assert p.freqs.tolist() == [[3, -7], [-4, 2]]
+        assert p.values.tolist() == [1.0, 0.5j]
+
+    def test_non_finite_value_names_the_key(self):
+        with pytest.raises(ValueError, match=r"non-finite coefficient at \(2, -5\)"):
+            TrigPoly(2, {(1, 1): 1.0, (2, -5): complex(0.0, math.nan)})
+        with pytest.raises(ValueError, match="non-finite coefficient at 7"):
+            TrigPoly(1, {7: math.inf})
+
+    def test_zeros_dropped_from_every_view(self):
+        p = TrigPoly(1, {1: 1.0, 2: 0.0, 3: 0j, 4: -2.0})
+        assert p.coeffs == {1: 1.0, 4: -2.0}
+        assert p.freqs.tolist() == [[1], [4]]
+        assert p.values.tolist() == [1.0, -2.0]
+        empty = TrigPoly(2, {(1, 1): 0.0})
+        assert empty.coeffs == {} and empty.freqs.shape == (0, 2) and empty.values.size == 0
 
 
 class TestSynthesize:
@@ -49,6 +77,14 @@ class TestSynthesize:
     def test_constant(self):
         s = synthesize(TrigPoly(1, {0: 2.5 - 1j}), 32)
         assert np.abs(s.values - (2.5 - 1j)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim, fine", [(1, 256), (2, 64)])
+    def test_sample_wraps_bins_like_a_strided_alias_free_grid(self, dim, fine):
+        # degree up to 20 on a grid of 16 per axis: bins collide and add
+        p = random_poly(np.random.default_rng(5), dim, 20, 40)
+        coarse = torus._sample(p.freqs, p.values, (16,) * dim)
+        strided = synthesize(p, fine).values[(slice(None, None, fine // 16),) * dim]
+        assert np.abs(coarse - strided).max() <= 1e-12 * np.abs(strided).max()
 
     def test_grid_too_small_reports_minimum(self):
         p = TrigPoly(1, {40: 1.0})
