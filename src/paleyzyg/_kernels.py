@@ -8,7 +8,10 @@ _TWO_PI = 2.0 * np.pi
 USING_NUMBA = False
 
 
-# perfbench/tests reads paleyzyg._kernels.nudft, so the name stays bound here.
+# No library code calls nudft: realline.fourier_transform evaluates the same
+# sum in factored form, and the tests compare it with this dense reference.
+# perfbench/run.py imports this module and perfbench/tests reads
+# paleyzyg._kernels.nudft, so the name stays bound here.
 def nudft(values, points, freqs):
     """Nonuniform DFT: out[i] = sum_j values[j] * exp(-2*pi*i*freqs[i]*points[j]).
 

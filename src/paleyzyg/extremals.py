@@ -27,7 +27,7 @@ def fejer(n: int) -> TrigPoly:
     check_budget(2 * n + 1, f"Fejer kernel of order {n}")
     j = np.arange(-n, n + 1)
     c = 1.0 - np.abs(j) / (n + 1.0)
-    return TrigPoly(1, dict(zip(j.tolist(), c.tolist())))
+    return TrigPoly.from_arrays(1, j, c)
 
 
 def vallee_poussin(N: int) -> TrigPoly:
@@ -42,7 +42,7 @@ def vallee_poussin(N: int) -> TrigPoly:
     check_budget(2 * n + 1, f"de la Vallee Poussin kernel V_{2 ** N}")
     j = np.arange(-n, n + 1)
     c = np.minimum(1.0, 2.0 - np.abs(j) / 2.0 ** N)
-    return TrigPoly(1, dict(zip(j.tolist(), c.tolist())))
+    return TrigPoly.from_arrays(1, j, c)
 
 
 def _ols_slope(xs, ys):
@@ -125,7 +125,7 @@ def ingham_partial_sum(gamma, c, M) -> TrigPoly:
     if M < 3:
         raise ValueError("M must be >= 3")
     n, a = _ingham_coefficients(gamma, c, 2, M)
-    return TrigPoly(1, dict(zip(n.tolist(), a.tolist())))
+    return TrigPoly.from_arrays(1, n, a)
 
 
 def ingham_tail_sup(gamma, c, M) -> float:

@@ -144,7 +144,8 @@ def apply(m: MultiplierSeq, p: TrigPoly) -> TrigPoly:
         raise ValueError("multiplier application is 1D")
     if p.degree > m.horizon:
         raise ValueError("polynomial support exceeds multiplier horizon")
-    return TrigPoly(1, dict(zip(p.coeffs, (m.values_at(p.freqs[:, 0]) * p.values).tolist())))
+    n = p.freqs[:, 0]
+    return TrigPoly.from_arrays(1, n, m.values_at(n) * p.values)
 
 
 def h1_paley_ratio(m: MultiplierSeq, p: TrigPoly) -> float:

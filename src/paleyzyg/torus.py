@@ -52,25 +52,49 @@ class TrigPoly:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         keys = list(self.coeffs)
         try:
             freqs = np.array(keys)
         except ValueError:
             raise _key_error(keys, self.dim) from None
-        if keys and (freqs.shape[1:] != (() if self.dim == 1 else (self.dim,))
-                     or freqs.dtype.kind not in "iu"):
-            raise _key_error(keys, self.dim)
-        freqs = freqs.astype(np.int64).reshape(len(keys), self.dim)
-        values = np.array(list(self.coeffs.values()), dtype=np.complex128)
+        self._set_table(freqs, np.array(list(self.coeffs.values()), dtype=np.complex128), keys)
+
+    @classmethod
+    def from_arrays(cls, dim, freqs, values):
+        """The table {freqs[i]: values[i]} without building that dict first:
+        freqs holds the keys as an array, (n,) for dim 1 and (n, dim)
+        otherwise, and is validated as the keys of a dict are; a frequency
+        may repeat only with zero coefficients."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        p._set_table(np.asarray(freqs), np.asarray(values, dtype=np.complex128))
+        return p
+
+    def _set_table(self, freqs, values, keys=None):
+        """Validate the keys (as the array freqs) and the coefficients, then
+        store the table, zero coefficients dropped, as coeffs/freqs/values."""
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        n = len(freqs)
+        if n and (freqs.shape[1:] != (() if self.dim == 1 else (self.dim,))
+                  or freqs.dtype.kind not in "iu"
+                  or freqs.dtype.kind == "u" and freqs.max() > np.iinfo(np.int64).max):
+            raise _key_error(freqs.tolist() if keys is None else keys, self.dim)
+        if values.shape != (n,):
+            raise ValueError(f"{values.size} coefficients for {n} frequencies")
+        freqs = freqs.astype(np.int64).reshape(n, self.dim)
         bad = ~np.isfinite(values)
         if bad.any():
-            raise ValueError(f"non-finite coefficient at {keys[int(np.argmax(bad))]!r}")
+            i = int(np.argmax(bad))
+            key = int(freqs[i, 0]) if self.dim == 1 else tuple(freqs[i].tolist())
+            raise ValueError(f"non-finite coefficient at {key!r}")
         keep = values != 0
         freqs, values = freqs[keep], values[keep]
         table = freqs[:, 0].tolist() if self.dim == 1 else map(tuple, freqs.tolist())
-        object.__setattr__(self, "coeffs", dict(zip(table, values.tolist())))
+        coeffs = dict(zip(table, values.tolist()))
+        if len(coeffs) < len(values):
+            raise ValueError("a frequency carries two nonzero coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "values", values)
 
@@ -207,8 +231,8 @@ def analyze(s: GridSignal, tol=1e-12) -> TrigPoly:
     idx = np.argwhere(np.abs(spec) > tol * float(np.abs(spec).max()))
     idx = idx[(idx != sizes // 2).all(axis=1)]
     freqs = np.where(idx < sizes // 2, idx, idx - sizes)
-    keys = freqs[:, 0].tolist() if s.dim == 1 else map(tuple, freqs.tolist())
-    return TrigPoly(s.dim, dict(zip(keys, spec[tuple(idx.T)].tolist())))
+    return TrigPoly.from_arrays(s.dim, freqs[:, 0] if s.dim == 1 else freqs,
+                                spec[tuple(idx.T)])
 
 
 def lp_norm(s: GridSignal, p) -> float:
@@ -266,7 +290,7 @@ def square_function_blocks(p: TrigPoly):
         keep = w != 0.0
         if keep.any():
             weighted = w[keep] * p.values[keep]
-            blocks[k] = TrigPoly(1, dict(zip(n[keep].tolist(), weighted.tolist())))
+            blocks[k] = TrigPoly.from_arrays(1, n[keep], weighted)
     return blocks
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from paleyzyg import _kernels
 from paleyzyg import (CompactSignal, PaleyMeasure, fourier_transform, low_block_divergence,
                       lp_block, mean_zero_reduction, mu_l2_sq, paley_inequality_probe,
                       paley_sup, product_paley_sup_2d, raised_cosine_bump,
@@ -63,6 +64,19 @@ class TestTransform:
         s = gaussian_signal(L=8.0, M=256)
         with pytest.raises(ValueError, match="band"):
             fourier_transform(s, [s.band * 2])
+
+    @pytest.mark.parametrize("M", [16, 32, 2048, 2 ** 15])
+    @pytest.mark.parametrize("L", [0.5, 4.0, 64.0])
+    def test_factored_sum_matches_dense_sum(self, M, L):
+        # odd and even log2(M), so the index split j = B*a + b has A != B too
+        rng = np.random.default_rng([M, int(4 * L)])
+        s = CompactSignal(rng.standard_normal(M) + 1j * rng.standard_normal(M), L)
+        freqs = np.concatenate([[0.0, s.band, -s.band],
+                                rng.uniform(-s.band, s.band, 200)])
+        got = fourier_transform(s, freqs)
+        dense = s.h * _kernels.nudft(s.values, s.x(), freqs)
+        assert np.abs(got - dense).max() <= 1e-13 * s.l1()
+        assert fourier_transform(s, []).shape == (0,)
 
 
 class TestBlocks:
@@ -173,6 +187,26 @@ class TestProbe:
         assert mu_l2_sq(both, f, (0, 1)) == mu_l2_sq(low, f)
         assert mu_l2_sq(both, f, (-10, 5)) == pytest.approx(mu_l2_sq(both, f), rel=1e-15)
         assert mu_l2_sq(both, f) > 2.0 * mu_l2_sq(low, f)
+
+    @pytest.mark.parametrize("k_lo, k_hi", [(-10, 4), (-2, 4)])
+    def test_gauss_legendre_error_against_exact_integral(self, k_lo, k_hi):
+        # int |f_hat|^2 dmu = h^2 sum_l r(l) mu_hat(l h) exactly, with r the
+        # sample autocorrelation and, for the |xi|^-1 density on a <= |xi| < b,
+        # mu_hat(t) = 2 [Ci(2 pi b t) - Ci(2 pi a t)], mu_hat(0) = 2 ln(b/a).
+        # The quadrature error measured on the first 20 criterion-9 signals
+        # is 1.14e-7 relative for both block ranges.
+        sici = pytest.importorskip("scipy.special").sici
+        a, b = 2.0 ** k_lo, 2.0 ** (k_hi + 1)
+        mu = PaleyMeasure.inverse_abs(k_lo, k_hi)
+        worst = 0.0
+        for s in random_mean_zero_corpus(20, seed=513):
+            spec = np.fft.fft(s.values, 2 * s.size)
+            r = np.fft.ifft(np.abs(spec) ** 2)[:s.size].real
+            t = s.h * np.arange(1, s.size)
+            mu_hat = 2.0 * (sici(2 * np.pi * b * t)[1] - sici(2 * np.pi * a * t)[1])
+            exact = s.h ** 2 * (2.0 * math.log(b / a) * r[0] + 2.0 * np.dot(r[1:], mu_hat))
+            worst = max(worst, abs(mu_l2_sq(mu, s) - exact) / exact)
+        assert worst <= 2e-7
 
     def test_corpus_bounded(self):
         mu = PaleyMeasure.inverse_abs(-10, 4)

@@ -68,6 +68,42 @@ class TestTrigPoly:
         empty = TrigPoly(2, {(1, 1): 0.0})
         assert empty.coeffs == {} and empty.freqs.shape == (0, 2) and empty.values.size == 0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_from_arrays_equals_the_dict_table_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        grid = np.stack(np.meshgrid(*[np.arange(-30, 30)] * dim), axis=-1).reshape(-1, dim)
+        freqs = rng.permutation(grid)[:40]
+        freqs = freqs[:, 0] if dim == 1 else freqs
+        values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        values[::7] = 0.0
+        keys = freqs.tolist() if dim == 1 else map(tuple, freqs.tolist())
+        want = TrigPoly(dim, dict(zip(keys, values.tolist())))
+        got = TrigPoly.from_arrays(dim, freqs, values)
+        assert got == want
+        assert got.freqs.tobytes() == want.freqs.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.freqs.shape == want.freqs.shape
+
+    def test_from_arrays_validates_like_the_dict_table(self):
+        with pytest.raises(ValueError, match="1.5 is not an integer"):
+            TrigPoly.from_arrays(1, np.array([1.5, 2.0]), np.ones(2))
+        with pytest.raises(ValueError, match="is not a tuple of 2 integers"):
+            TrigPoly.from_arrays(2, np.array([[1, 2, 3]]), np.ones(1))
+        with pytest.raises(ValueError, match="non-finite coefficient at 7"):
+            TrigPoly.from_arrays(1, np.array([3, 7]), np.array([1.0, math.nan]))
+        with pytest.raises(ValueError, match="3 coefficients for 2 frequencies"):
+            TrigPoly.from_arrays(1, np.array([3, 7]), np.ones(3))
+        with pytest.raises(ValueError, match="two nonzero coefficients"):
+            TrigPoly.from_arrays(1, np.array([3, 3]), np.ones(2))
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            TrigPoly.from_arrays(0, np.array([], dtype=np.int64), np.ones(0))
+
+    def test_frequencies_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            TrigPoly(1, {2 ** 63: 1.0})
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            TrigPoly.from_arrays(1, np.array([2 ** 63], dtype=np.uint64), np.ones(1))
+
 
 class TestSynthesize:
     def test_unimodular_character(self):
