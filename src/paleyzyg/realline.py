@@ -3,9 +3,9 @@ Paley measures, and the weighted inequality probes.
 
 Signals live on [-L, L) sampled at M points (power of two); the transform is
 a spacing-h rectangle rule, trusted on the band |xi| <= 1/(4h).  Its sum is
-evaluated in factored form, without approximation.  Split the sample index as j = B a + b,
-the split the Cooley-Tukey FFT is built on, with B = 2^floor(log2(M) / 2)
-and A = M / B.  Since x_j = -L + j h,
+evaluated in factored form, without approximation.  Split the sample index
+as j = B a + b, the split the Cooley-Tukey FFT is built on, with
+B = 2^floor(log2(M) / 2) and A = M / B.  Since x_j = -L + j h,
 
     f_hat(xi) = h e^{2 pi i xi L} sum_a e^{-2 pi i xi B h a}
                                   sum_b f_{B a + b} e^{-2 pi i xi h b},
@@ -88,10 +88,14 @@ def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
         raise ValueError(f"frequency grid exceeds the validity band |xi| <= {s.band}")
     B = 1 << (s.size.bit_length() - 1) // 2
     A = s.size // B
-    phase = -2j * np.pi * s.h * freqs[:, None]
-    inner = np.exp(phase * np.arange(B)) @ s.values.reshape(A, B).T
-    outer = np.exp(phase * (B * np.arange(A)))
-    return s.h * np.exp(2j * np.pi * s.half_width * freqs) * np.sum(outer * inner, axis=1)
+    total = np.empty(freqs.shape, dtype=np.complex128)
+    rows = max(1, (1 << 20) // A)    # frequency rows per pass: 16 MB per temporary
+    for start in range(0, freqs.size, rows):
+        phase = -2j * np.pi * s.h * freqs[start:start + rows, None]
+        inner = np.exp(phase * np.arange(B)) @ s.values.reshape(A, B).T
+        outer = np.exp(phase * (B * np.arange(A)))
+        total[start:start + rows] = np.sum(outer * inner, axis=1)
+    return s.h * np.exp(2j * np.pi * s.half_width * freqs) * total
 
 
 def _dual_grid(s: CompactSignal):

@@ -1,6 +1,7 @@
 """Compact signals, dyadic blocks, Paley measures, and the line harnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ class TestTransform:
         dense = s.h * _kernels.nudft(s.values, s.x(), freqs)
         assert np.abs(got - dense).max() <= 1e-13 * s.l1()
         assert fourier_transform(s, []).shape == (0,)
+
+    def test_large_frequency_grid_is_blocked(self):
+        # 10,000 frequencies at M = 2^15 take three passes of 4,096 rows;
+        # one pass over all of them would hold about 160 MB of temporaries.
+        rng = np.random.default_rng(11)
+        M = 2 ** 15
+        s = CompactSignal(rng.standard_normal(M) + 1j * rng.standard_normal(M), 4.0)
+        freqs = rng.uniform(-s.band, s.band, 10_000)
+        tracemalloc.start()
+        try:
+            got = fourier_transform(s, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+        pieces = [fourier_transform(s, freqs[i:i + 128]) for i in range(0, freqs.size, 128)]
+        assert np.array_equal(got, np.concatenate(pieces))
 
 
 class TestBlocks:
