@@ -211,8 +211,9 @@ def _parse_measure(args):
 def cmd_rline_paley(args):
     mu = _parse_measure(args)
     corpus = realline.random_mean_zero_corpus(args.corpus, seed=args.seed)
-    rep = realline.paley_inequality_probe(mu, corpus)
-    sup_rep = realline.paley_sup(mu, (args.k_min, args.k_max))
+    k_range = (args.k_min, args.k_max)
+    rep = realline.paley_inequality_probe(mu, corpus, k_range)
+    sup_rep = realline.paley_sup(mu, k_range)
     rows = [list(r) for r in rep.rows]
     prov = {"max_ratio": rep.max_ratio, "paley_sup": sup_rep.sup,
             "sup_verdict": sup_rep.verdict}

@@ -168,6 +168,13 @@ class TestReports:
         # blocks 0..1 hold the atom at 3 only; blocks 0..3 add the one at 10
         assert all(a < b for a, b in zip(lhs_narrow, lhs_wide))
 
+    def test_rline_paley_atoms_follow_k_range(self, capsys):
+        argv = ("rline-paley", "--measure", "atoms:3,1;10,0.5", "--gap", "1",
+                "--corpus", "2", "--k-min", "0", "--format", "csv")
+        _, narrow = run_cli(capsys, *argv, "--k-max", "1")
+        _, wide = run_cli(capsys, *argv, "--k-max", "3")
+        assert narrow != wide
+
     def test_sharpness_report(self, capsys):
         code, out = run_cli(capsys, "sharpness", "--n-min", "4", "--n-max", "6",
                             "--format", "json")

@@ -10,7 +10,7 @@ from paleyzyg import (Ensemble, FrequencySet, GridSignal, MultiplierSeq, TrigPol
                       coeffs_close, even_p_ratio, fejer, ingham_tail_sup, paley_block_sums,
                       sidon_lower_bound, sidon_weight_divergence,
                       lp_norm, orlicz_functional, periodic_square_function_norm,
-                      synthesize, vallee_poussin, weighted_l2)
+                      synthesize, vallee_poussin, weighted_l2, zygmund_ratio)
 from paleyzyg import torus
 from paleyzyg.torus import square_function_blocks
 
@@ -122,6 +122,28 @@ class TestSynthesize:
         strided = synthesize(p, fine).values[(slice(None, None, fine // 16),) * dim]
         assert np.abs(coarse - strided).max() <= 1e-12 * np.abs(strided).max()
 
+    @pytest.mark.parametrize("M", [1 << 15, 1 << 16])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_split_matches_the_plain_scatter(self, M, extra):
+        R = torus._SPLIT_ROWS
+        S = R // 4 + extra
+        rng = np.random.default_rng([M, S])
+        n = rng.integers(-3 * M, 3 * M, S)
+        # frequencies that coincide mod R, alias mod M, and of both signs
+        n[1:6] = n[0] + np.array([R, -R, M, -2 * M, 5 * R - M])
+        n[6] = -abs(n[6])
+        freqs = n[:, None]
+        c = rng.standard_normal(S) + 1j * rng.standard_normal(S)
+        spec = np.zeros(M, dtype=np.complex128)
+        np.add.at(spec, n % M, c)
+        plain = np.fft.ifft(spec) * M
+        got = torus._sample(freqs, c, (M,))
+        if M >= torus._SPLIT_MIN_POINTS and S <= R // 4:
+            assert not np.array_equal(got, plain)  # the split ran
+            assert np.abs(got - plain).max() <= 1e-13 * np.abs(c).sum()
+        else:
+            assert np.array_equal(got, plain)
+
     def test_grid_too_small_reports_minimum(self):
         p = TrigPoly(1, {40: 1.0})
         with pytest.raises(ValueError, match="128"):
@@ -132,6 +154,22 @@ class TestSynthesize:
         p = random_poly(rng, 1, 100, 60)
         q = analyze(synthesize(p, 256))
         assert coeffs_close(p, q, 1e-10)
+
+    def test_round_trip_on_a_split_grid(self):
+        p = random_poly(np.random.default_rng(13), 1, 60000, 40)
+        q = analyze(synthesize(p, 1 << 17))
+        assert coeffs_close(p, q, 1e-10)
+
+    def test_zygmund_ratio_invariant_under_a_grid_rotation(self):
+        p = random_poly(np.random.default_rng(14), 1, 40000, 40)
+        m = MultiplierSeq.inverse_sqrt(p.degree)
+        base = zygmund_ratio(p, m)
+        assert base.grid >= torus._SPLIT_MIN_POINTS  # 40 terms: the split's grid
+        # f(theta + 12345 / M) samples f on the same grid, cyclically shifted
+        rotated = TrigPoly.from_arrays(
+            1, p.freqs[:, 0], p.values * np.exp(2j * np.pi * (p.freqs[:, 0] * 12345 % base.grid)
+                                                / base.grid))
+        assert zygmund_ratio(rotated, m).ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_round_trip_2d(self):
         rng = np.random.default_rng(12)
