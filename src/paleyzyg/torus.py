@@ -186,8 +186,7 @@ def grid_size(extent, factor):
     return max(next_pow2(factor * extent + 1), 16)
 
 
-# _sample's split: 1-D grids of at least _SPLIT_MIN_POINTS points and tables
-# of at most _SPLIT_ROWS // 4 terms, run as _SPLIT_ROWS-point FFTs.
+# When and how _sample splits a grid (see its docstring).
 _SPLIT_MIN_POINTS = 1 << 16
 _SPLIT_ROWS = 4096
 
@@ -227,7 +226,7 @@ def _sample(freqs, values, sizes):
         M, R = sizes[0], _SPLIT_ROWS
         n = freqs[:, 0] % M
         a = np.arange(M // R)
-        X = np.zeros((R, M // R), dtype=np.complex128)
+        X = np.zeros((R, len(a)), dtype=np.complex128)
         np.add.at(X, n % R, np.exp((2j * np.pi / M) * (n[:, None] * a % M)) * values[:, None])
         return np.fft.ifft(X, axis=0, norm="forward", out=X).ravel()
     spec = np.zeros(sizes, dtype=np.complex128)
