@@ -144,6 +144,16 @@ class TestSynthesize:
         else:
             assert np.array_equal(got, plain)
 
+    def test_split_needs_rows_that_divide_the_grid(self):
+        # GridSignal takes only powers of two, but _sample itself takes any
+        # size; _SPLIT_ROWS does not divide 100,000: the plain scatter
+        p = random_poly(np.random.default_rng(15), 1, 40000, 40)
+        M = 100_000
+        spec = np.zeros(M, dtype=np.complex128)
+        np.add.at(spec, p.freqs[:, 0] % M, p.values)
+        assert np.array_equal(torus._sample(p.freqs, p.values, (M,)),
+                              np.fft.ifft(spec, norm="forward"))
+
     def test_grid_too_small_reports_minimum(self):
         p = TrigPoly(1, {40: 1.0})
         with pytest.raises(ValueError, match="128"):
