@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paleyzyg import (Ensemble, FrequencySet, GridSignal, MultiplierSeq, TrigPoly, analyze,
-                      coeffs_close, even_p_ratio, fejer, ingham_tail_sup, paley_block_sums,
-                      sidon_lower_bound, sidon_weight_divergence,
-                      lp_norm, orlicz_functional, periodic_square_function_norm,
-                      synthesize, vallee_poussin, weighted_l2, zygmund_ratio)
-from paleyzyg import torus
+                      coeffs_close, even_p_ratio, fejer, ingham_tail_sup, ingham_weight_trend,
+                      paley_block_sums, sharpness_experiment, sidon_lower_bound,
+                      sidon_weight_divergence, lp_norm, orlicz_functional,
+                      periodic_square_function_norm, synthesize, vallee_poussin, weighted_l2,
+                      zygmund_ratio)
+from paleyzyg import extremals, torus
 from paleyzyg.torus import square_function_blocks
 
 
@@ -105,6 +106,30 @@ class TestTrigPoly:
             TrigPoly.from_arrays(1, np.array([2 ** 63], dtype=np.uint64), np.ones(1))
 
 
+def plain_samples(n, c, M):
+    """The samples of the table {n: c} on M points by one scatter and one FFT."""
+    spec = np.zeros(M, dtype=np.complex128)
+    np.add.at(spec, n % M, c)
+    return np.fft.ifft(spec, norm="forward")
+
+
+def split_table(M, S):
+    """S seeded terms whose frequencies coincide mod _SPLIT_ROWS, alias mod M
+    and have both signs."""
+    R = torus._SPLIT_ROWS
+    rng = np.random.default_rng([M, S])
+    n = rng.integers(-3 * M, 3 * M, S)
+    n[1:6] = n[0] + np.array([R, -R, M, -2 * M, 5 * R - M])
+    n[6] = -abs(n[6])
+    return n, rng.standard_normal(S) + 1j * rng.standard_normal(S)
+
+
+def whole_grid_readings(samples, terms):
+    s = GridSignal(samples)
+    return [lp_norm(s, math.inf) if p == math.inf else orlicz_functional(s, r)
+            for p, r in terms]
+
+
 class TestSynthesize:
     def test_unimodular_character(self):
         s = synthesize(TrigPoly(1, {3: 1.0}), 16)
@@ -127,17 +152,11 @@ class TestSynthesize:
     def test_split_matches_the_plain_scatter(self, M, extra):
         R = torus._SPLIT_ROWS
         S = R // 4 + extra
-        rng = np.random.default_rng([M, S])
-        n = rng.integers(-3 * M, 3 * M, S)
-        # frequencies that coincide mod R, alias mod M, and of both signs
-        n[1:6] = n[0] + np.array([R, -R, M, -2 * M, 5 * R - M])
-        n[6] = -abs(n[6])
-        freqs = n[:, None]
-        c = rng.standard_normal(S) + 1j * rng.standard_normal(S)
+        n, c = split_table(M, S)
         spec = np.zeros(M, dtype=np.complex128)
         np.add.at(spec, n % M, c)
         plain = np.fft.ifft(spec) * M
-        got = torus._sample(freqs, c, (M,))
+        got = torus._sample(n[:, None], c, (M,))
         if M >= torus._SPLIT_MIN_POINTS and S <= R // 4:
             assert not np.array_equal(got, plain)  # the split ran
             assert np.abs(got - plain).max() <= 1e-13 * np.abs(c).sum()
@@ -149,10 +168,8 @@ class TestSynthesize:
         # size; _SPLIT_ROWS does not divide 100,000: the plain scatter
         p = random_poly(np.random.default_rng(15), 1, 40000, 40)
         M = 100_000
-        spec = np.zeros(M, dtype=np.complex128)
-        np.add.at(spec, p.freqs[:, 0] % M, p.values)
         assert np.array_equal(torus._sample(p.freqs, p.values, (M,)),
-                              np.fft.ifft(spec, norm="forward"))
+                              plain_samples(p.freqs[:, 0], p.values, M))
 
     def test_grid_too_small_reports_minimum(self):
         p = TrigPoly(1, {40: 1.0})
@@ -289,6 +306,105 @@ class TestOrlicz:
         s1 = GridSignal(a.astype(complex))
         s2 = GridSignal((a + 0.5).astype(complex))
         assert orlicz_functional(s1, 0.5) <= orlicz_functional(s2, 0.5)
+
+
+class TestBlockedReadings:
+    """Readings reduced block by block against readings of the whole sample
+    array from one plain FFT."""
+
+    TERMS = [(1, 0.25), (1, 0.5), (math.inf, 0)]
+
+    @pytest.mark.parametrize("M", [1 << 16, 1 << 18, 1 << 20])
+    def test_sparse_tables(self, M):
+        n, c = split_table(M, torus._SPLIT_ROWS // 4)
+        assert next(torus._sample_blocks(n[:, None], c, M)).shape == (torus._SPLIT_ROWS, 16)
+        got = torus._abs_readings(torus._sample_blocks(n[:, None], c, M), M, self.TERMS)
+        want = whole_grid_readings(plain_samples(n, c, M), self.TERMS)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("k", [12, 13, 14, 15])
+    def test_ingham_tails(self, k):
+        M = 2 ** k
+        G = torus.grid_size(2 * M, torus.SUP_L1_FACTOR)
+        n, a = extremals._ingham_coefficients(0.5, 0.8, M + 1, 2 * M)
+        assert next(torus._sample_blocks(n[:, None], a, G)).shape == (G // 32, 1)
+        want = lp_norm(GridSignal(plain_samples(n, a, G)), math.inf)
+        assert ingham_tail_sup(0.5, 0.8, M) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_ingham_weight_trend_sup(self):
+        (M, _, sup, _), = ingham_weight_trend(0.5, 0.8, [10000])
+        p = extremals.ingham_partial_sum(0.5, 0.8, M)
+        G = torus.grid_size(M, torus.SUP_L1_FACTOR)
+        assert next(torus._sample_blocks(p.freqs, p.values, G)).shape[0] < G
+        want = lp_norm(GridSignal(plain_samples(p.freqs[:, 0], p.values, G)), math.inf)
+        assert sup == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_vallee_poussin_sharpness(self):
+        t = sharpness_experiment(range(10, 15), (0.25, 0.5))
+        for i, (N, M) in enumerate(zip(t.n_values, t.grids)):
+            vp = vallee_poussin(N)
+            if M >= torus._SPLIT_MIN_POINTS:
+                assert next(torus._sample_blocks(vp.freqs, vp.values, M)).shape == (M // 4, 1)
+            want = whole_grid_readings(plain_samples(vp.freqs[:, 0], vp.values, M),
+                                       [(1, 0.25), (1, 0.5)])
+            assert [t.phi[0.25][i], t.phi[0.5][i]] == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("table", ["sparse", "ingham", "vallee_poussin"])
+    def test_assembled_samples_match_the_plain_fft(self, table):
+        if table == "sparse":
+            M = 1 << 17
+            n, c = split_table(M, 300)
+        elif table == "ingham":
+            M = 1 << 18
+            n, c = extremals._ingham_coefficients(0.5, 0.8, 2 ** 13 + 1, 2 ** 14)
+        else:
+            M = 1 << 17
+            vp = vallee_poussin(13)
+            n, c = vp.freqs[:, 0], vp.values
+        plain = plain_samples(n, c, M)
+        got = torus._sample(n[:, None], c, (M,))
+        assert not np.array_equal(got, plain)  # a block form ran
+        assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
+
+    @pytest.mark.parametrize("count", [40, 12000])
+    def test_below_the_threshold_every_reading_keeps_its_bits(self, count):
+        M = torus._SPLIT_MIN_POINTS // 2
+        p = random_poly(np.random.default_rng(count), 1, M // 2 - 1, count)
+        plain = plain_samples(p.freqs[:, 0], p.values, M)
+        blocks = list(torus._sample_blocks(p.freqs, p.values, M))
+        assert len(blocks) == 1 and np.array_equal(blocks[0][:, 0], plain)
+        assert np.array_equal(synthesize(p, M).values, plain)
+        a = np.abs(plain)
+        got = torus._grid_readings(p, M, [(1, 0.5), (1, 0.25), (1, 0), (2, 0), (math.inf, 0)])
+        assert got == [float(np.mean(a * np.log1p(a) ** 0.5)),
+                       float(np.mean(a * np.log1p(a) ** 0.25)), float(np.mean(a)),
+                       float(np.mean(a ** 2.0)), float(a.max())]
+
+    @pytest.mark.parametrize("table", ["sparse", "dense"])
+    def test_overflow_raises_like_synthesize(self, table):
+        M = 1 << 16
+        if table == "sparse":
+            p = TrigPoly(1, {20000: 1e308, 30001: 1e308})
+        else:
+            n = np.arange(M // 4, M // 2)   # span below M / 4: decimated
+            p = TrigPoly.from_arrays(1, n, np.full(len(n), 1e305))
+        assert torus.grid_size(p.degree, 2) == M
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert next(torus._sample_blocks(p.freqs, p.values, M)).shape[0] < M
+        with pytest.raises(ValueError, match="must be finite"):
+            synthesize(p, M)
+        with pytest.raises(ValueError, match="must be finite"):
+            zygmund_ratio(p, MultiplierSeq.inverse_sqrt(M), check_multiplier=False)
+        with pytest.raises(ValueError, match="must be finite"):
+            torus._grid_readings(p, M, [(math.inf, 0)])
+
+    def test_readings_that_overflow_raise(self):
+        s = GridSignal(np.full(16, 1e308, dtype=complex))
+        with pytest.raises(ValueError, match="must be finite"):
+            orlicz_functional(s, 0.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            lp_norm(s, 2)
+        assert lp_norm(s, math.inf) == 1e308
 
 
 class TestWeightedL2:
