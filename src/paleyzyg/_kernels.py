@@ -29,12 +29,15 @@ def nudft(values, points, freqs):
     return out
 
 
-def min_sup_phase(base_vals, char_vals, phases):
+def min_sup_phase(base_vals, char_vals, phases, cand=None, mags=None):
     """Among candidate phases, minimise sup |base + phase*char|.
 
-    Returns (best_index, best_sup).
+    cand (complex) and mags (real), both (len(phases), len(base_vals)), are
+    optional buffers for the candidates and their moduli, for callers that
+    call in a loop.  Returns (best_index, best_sup).
     """
-    cand = base_vals[None, :] + phases[:, None] * char_vals[None, :]
-    sups = np.abs(cand).max(axis=1)
+    cand = np.multiply.outer(phases, char_vals, out=cand)
+    cand += base_vals
+    sups = np.abs(cand, out=mags).max(axis=1)
     b = int(np.argmin(sups))
     return b, float(sups[b])

@@ -24,6 +24,7 @@ growth exponent is the least-squares slope of the squared best ratios
 (energy ratios) against p.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -82,6 +83,7 @@ class PlainSpectrum:
 
     def __init__(self, freqs: FrequencySet):
         self.freqs = freqs
+        self._elems = np.array(freqs.sorted_elements(), dtype=np.int64)
 
     @property
     def dim(self):
@@ -91,12 +93,11 @@ class PlainSpectrum:
         return self.freqs
 
     def draw(self, ensemble: Ensemble, trial: int):
-        elems = self.freqs.sorted_elements()
+        """(freqs, values): the sorted frequencies and one member's coefficients."""
         if ensemble.kind in ("flat", "phase-ascent"):
-            return {n: 1.0 + 0j for n in elems}
+            return self._elems, np.ones(len(self._elems), dtype=np.complex128)
         rng = np.random.default_rng([ensemble.seed, trial])
-        vals = _draw_factors(rng, len(elems), ensemble.kind)
-        return dict(zip(elems, vals))
+        return self._elems, _draw_factors(rng, len(self._elems), ensemble.kind)
 
     def describe(self):
         return f"set({len(self.freqs)} freqs, dim {self.dim})"
@@ -107,7 +108,8 @@ class SumsetSpectrum:
 
     Draws assign each strictly decreasing index tuple the product of its
     per-term factors (signs or phases); the 2**k sign patterns of a tuple
-    share that amplitude, and colliding sums accumulate.
+    share that amplitude, and colliding sums accumulate, tuple by tuple and
+    pattern by pattern.  A sum whose amplitudes cancel keeps a zero value.
     """
 
     def __init__(self, base: LacunarySeq, k: int, cap: int = 4096):
@@ -116,6 +118,13 @@ class SumsetSpectrum:
         fset, used = sumset_bonami(base, self.k, cap)
         self.used_terms = used
         self._fset = fset
+        self._freqs = np.array(fset.sorted_elements(), dtype=np.int64)
+        terms = np.array(base.terms[:used], dtype=np.int64)
+        self._combos = np.array(list(combinations(range(used), self.k)),
+                                dtype=np.intp).reshape(-1, self.k)
+        signs = np.array(list(product((1, -1), repeat=self.k)), dtype=np.int64)
+        sums = terms[self._combos] @ signs.T          # (tuples, patterns)
+        self._bins = np.searchsorted(self._freqs, sums.ravel())
 
     @property
     def dim(self):
@@ -125,22 +134,20 @@ class SumsetSpectrum:
         return self._fset
 
     def draw(self, ensemble: Ensemble, trial: int):
+        """(freqs, values): the sorted sumset and one member's coefficients."""
+        n = len(self._freqs)
         if ensemble.kind == "phase-ascent":
-            return {n: 1.0 + 0j for n in self._fset.sorted_elements()}
-        terms = self.base.terms[:self.used_terms]
+            return self._freqs, np.ones(n, dtype=np.complex128)
         if ensemble.kind == "flat":
-            eps = np.ones(len(terms), dtype=np.complex128)
+            eps = np.ones(self.used_terms, dtype=np.complex128)
         else:
             rng = np.random.default_rng([ensemble.seed, trial])
-            eps = _draw_factors(rng, len(terms), ensemble.kind)
-        coeffs = {}
-        for tup in combinations(range(len(terms)), self.k):
-            amp = complex(np.prod(eps[list(tup)]))
-            vals = [terms[i] for i in tup]
-            for signs in product((1, -1), repeat=self.k):
-                freq = sum(s * v for s, v in zip(signs, vals))
-                coeffs[freq] = coeffs.get(freq, 0j) + amp
-        return {n: c for n, c in coeffs.items() if c != 0}
+            eps = _draw_factors(rng, self.used_terms, ensemble.kind)
+        amps = np.repeat(eps[self._combos].prod(axis=1), 2 ** self.k)
+        values = np.empty(n, dtype=np.complex128)
+        values.real = np.bincount(self._bins, amps.real, n)
+        values.imag = np.bincount(self._bins, amps.imag, n)
+        return self._freqs, values
 
     def describe(self):
         return f"sumset(k={self.k}, base {self.used_terms} terms, {len(self._fset)} freqs)"
@@ -164,6 +171,7 @@ class TensorSpectrum:
         return FrequencySet(self.dim, frozenset(elems))
 
     def draw_factors(self, ensemble: Ensemble, trial: int):
+        """The per-axis draws (freqs, values) whose outer product is the member."""
         sub = []
         for a, f in enumerate(self.factors):
             e = Ensemble(ensemble.kind, seed=ensemble.seed + 7919 * (a + 1),
@@ -172,15 +180,11 @@ class TensorSpectrum:
         return sub
 
     def draw(self, ensemble: Ensemble, trial: int):
-        parts = self.draw_factors(ensemble, trial)
-        coeffs = {}
-        for combo in product(*(p.items() for p in parts)):
-            freq = tuple(n for n, _ in combo)
-            amp = 1.0 + 0j
-            for _, c in combo:
-                amp *= c
-            coeffs[freq] = amp
-        return coeffs
+        """(freqs, values): the product grid in row-major order, (n, dim), and
+        the outer product of the per-axis draws."""
+        freqs, values = zip(*self.draw_factors(ensemble, trial))
+        grid = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        return grid, functools.reduce(np.multiply.outer, values).ravel()
 
     def describe(self):
         return "tensor(" + " x ".join(f.describe() for f in self.factors) + ")"
@@ -202,34 +206,76 @@ def _check_even_p(p):
     return int(p)
 
 
-def _moment_ratios(coeffs, p_grid):
-    """||f||_p / ||f||_2 for every p in p_grid, from one synthesis.
+# Points per batched synthesis: the rows of one grid are transformed this
+# many points at a time (at least one row), which bounds the peak memory of
+# a large ensemble.
+_CHUNK_POINTS = 1 << 16
 
-    Keys are ints (1D) or tuples (nD).  The table is synthesised on the
-    exact grid of the largest p; each p reads its own exact grid as a
-    strided view of it (both sizes are powers of two per axis).
+
+def _sample_rows(freqs, V, sizes):
+    """Samples of every row of V, coefficients on the (n, dim) freqs, on the
+    grid sizes: shape (rows, *sizes).
+
+    One row is a table for torus._sample (its zeros dropped), which takes
+    cache-sized blocks on large 1-D grids; several rows are scattered into
+    one stack, where coinciding bins add, for one inverse FFT per row."""
+    if len(V) == 1:
+        keep = V[0] != 0
+        return _sample(freqs[keep], V[0, keep], sizes)[None]
+    points = math.prod(sizes)
+    bins = np.ravel_multi_index(tuple((freqs % sizes).T), sizes)
+    spec = np.zeros(len(V) * points, dtype=np.complex128)
+    np.add.at(spec, (np.arange(len(V))[:, None] * points + bins).ravel(), V.ravel())
+    return np.fft.ifftn(spec.reshape(len(V), *sizes), axes=tuple(range(1, len(sizes) + 1)),
+                        norm="forward")
+
+
+def _moment_ratios(freqs, V, p_grid):
+    """||f||_p / ||f||_2 for every row f of V and every p in p_grid, as a
+    (rows, len(p_grid)) array.
+
+    freqs holds the frequencies shared by the rows, (n,) in 1D and (n, dim)
+    otherwise, and V the coefficients, (rows, n).  A row's span comes from
+    its nonzero entries, and rows with the same grids are read together:
+    synthesised on the exact grid of the largest p, in chunks of at most
+    _CHUNK_POINTS points, while each p reads its own exact grid as a
+    strided view (both sizes are powers of two per axis).
     """
-    if not coeffs:
+    V = np.asarray(V, dtype=np.complex128)
+    freqs = np.asarray(freqs, dtype=np.int64).reshape(V.shape[1], -1)
+    nonzero = V != 0
+    if not nonzero.any(axis=1).all():
         raise ValueError("empty coefficient table")
-    freqs = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), -1)
-    spans = [int(s) for s in freqs.max(axis=0) - freqs.min(axis=0)]
-    big = tuple(grid_size(s, max(p_grid) // 2) for s in spans)
-    check_budget(math.prod(big), f"exact grid {big}")
-    values = np.array(list(coeffs.values()), dtype=np.complex128)
-    m2 = np.abs(_sample(freqs, values, big)) ** 2
-    ratios = np.empty(len(p_grid))
-    for i, p in enumerate(p_grid):
-        view = m2[tuple(slice(None, None, b // grid_size(s, p // 2))
-                        for b, s in zip(big, spans))]
-        l2 = math.sqrt(float(np.mean(view)))
-        lp = float(np.mean(view ** (p // 2))) ** (1.0 / p)
-        ratios[i] = lp / l2
+    spans = np.stack([np.where(nonzero, f, f.min()).max(axis=1)
+                      - np.where(nonzero, f, f.max()).min(axis=1) for f in freqs.T], axis=1)
+    groups = {}
+    for row, span in enumerate(spans.tolist()):
+        grids = tuple(tuple(grid_size(s, p // 2) for s in span) for p in p_grid)
+        groups.setdefault(grids, []).append(row)
+    ratios = np.empty((len(V), len(p_grid)))
+    big_p = p_grid.index(max(p_grid))
+    for grids, rows in groups.items():
+        big = grids[big_p]
+        check_budget(math.prod(big), f"exact grid {big}")
+        step = max(1, _CHUNK_POINTS // math.prod(big))
+        for c in range(0, len(rows), step):
+            chunk = rows[c:c + step]
+            m2 = np.abs(_sample_rows(freqs, V[chunk], big)) ** 2
+            for i, (p, grid) in enumerate(zip(p_grid, grids)):
+                view = m2[(slice(None), *(slice(None, None, b // g) for b, g in zip(big, grid)))]
+                axes = tuple(range(1, view.ndim))
+                l2 = np.mean(view, axis=axes).tolist()
+                lp = np.mean(view ** (p // 2), axis=axes).tolist()
+                ratios[chunk, i] = [a ** (1.0 / p) / math.sqrt(b) for a, b in zip(lp, l2)]
     return ratios
 
 
 def even_p_ratio(coeffs, p) -> float:
     """||f||_p / ||f||_2 for a 1D or nD coefficient table, exact rectangle rule."""
-    return float(_moment_ratios(coeffs, (_check_even_p(p),))[0])
+    if not coeffs:
+        raise ValueError("empty coefficient table")
+    values = np.array([list(coeffs.values())], dtype=np.complex128)
+    return float(_moment_ratios(list(coeffs), values, (_check_even_p(p),))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -247,9 +293,10 @@ class GrowthReport:
 def best_ratios(spectrum, p_grid, ensembles):
     """Best ||f||_p / ||f||_2 per p over every member of every ensemble.
 
-    Each member is drawn once and read at every p.  A tensor member is
-    rank-one, and the nD rectangle-rule ratio of a product table is the
-    product of its per-axis 1D ratios, so tensors are probed per axis.
+    Each member is drawn once, and the members of an ensemble are read
+    together at every p.  A tensor member is rank-one, and the nD
+    rectangle-rule ratio of a product table is the product of its per-axis
+    1D ratios, so tensors are probed per axis.
     """
     spectrum = as_spectrum(spectrum)
     if isinstance(ensembles, Ensemble):
@@ -257,13 +304,15 @@ def best_ratios(spectrum, p_grid, ensembles):
     p_grid = tuple(_check_even_p(p) for p in p_grid)
     best = np.zeros(len(p_grid))
     for e in ensembles:
-        for t in range(e.member_count()):
-            if isinstance(spectrum, TensorSpectrum):
-                ratios = math.prod(_moment_ratios(part, p_grid)
-                                   for part in spectrum.draw_factors(e, t))
-            else:
-                ratios = _moment_ratios(spectrum.draw(e, t), p_grid)
-            best = np.maximum(best, ratios)
+        members = range(e.member_count())
+        if isinstance(spectrum, TensorSpectrum):
+            axes = zip(*(spectrum.draw_factors(e, t) for t in members))
+            ratios = math.prod(_moment_ratios(draws[0][0], [v for _, v in draws], p_grid)
+                               for draws in axes)
+        else:
+            draws = [spectrum.draw(e, t) for t in members]
+            ratios = _moment_ratios(draws[0][0], [v for _, v in draws], p_grid)
+        best = np.maximum(best, ratios.max(axis=0))
     return tuple(float(r) for r in best)
 
 
@@ -352,7 +401,7 @@ class CauchySchwarzReport:
 def cauchy_schwarz_check(E: EMatrix, f: TrigPoly, rel_tol=1e-10) -> CauchySchwarzReport:
     """sum |E|^2 <= (sum |f_hat|^2)^2; a violation beyond tolerance raises."""
     frob = float(np.sum(np.abs(E.matrix) ** 2))
-    total = sum(abs(c) ** 2 for c in f.coeffs.values())
+    total = float(np.sum(np.abs(f.values) ** 2))
     bound = total * total
     if frob > bound * (1.0 + rel_tol):
         raise AssertionError(
@@ -402,16 +451,20 @@ def sidon_lower_bound(m, freqs, ensembles) -> float:
     chars = np.exp(2j * np.pi * np.multiply.outer(np.asarray(elems) % M, j) / M)
     weights = np.abs(m.values_at(elems))
     best = 0.0
+    phases = np.exp(2j * np.pi * np.arange(16) / 16)
+    cand = mags = None
     for ens in ensembles:
         if ens.kind == "phase-ascent":
+            if cand is None:
+                cand = np.empty((len(phases), M), dtype=np.complex128)
+                mags = np.empty((len(phases), M))
             coeffs = np.ones(len(elems), dtype=np.complex128)
             f = chars.sum(axis=0)
-            phases = np.exp(2j * np.pi * np.arange(16) / 16)
             sup = float(np.abs(f).max())
             for _ in range(3):
                 for i in range(len(elems)):
                     base = f - coeffs[i] * chars[i]
-                    b, s = _kernels.min_sup_phase(base, chars[i], phases)
+                    b, s = _kernels.min_sup_phase(base, chars[i], phases, cand, mags)
                     if s < sup:
                         sup = s
                         coeffs[i] = phases[b]
@@ -420,8 +473,7 @@ def sidon_lower_bound(m, freqs, ensembles) -> float:
             best = max(best, num / sup)
         else:
             for t in range(ens.member_count()):
-                coeffs = spectrum.draw(ens, t)
-                cvec = np.array([coeffs.get(n, 0j) for n in elems])
+                _, cvec = spectrum.draw(ens, t)
                 num = float(np.sum(weights * np.abs(cvec)))
                 f = cvec @ chars
                 sup = float(np.abs(f).max())

@@ -157,7 +157,8 @@ def h1_paley_ratio(m: MultiplierSeq, p: TrigPoly) -> float:
     square-function norm vanishes (zero polynomial or support {0}).
     """
     denom = periodic_square_function_norm(p)
-    centred = TrigPoly(1, {n: c for n, c in p.coeffs.items() if n != 0})
+    nonzero = p.freqs[:, 0] != 0
+    centred = TrigPoly.from_arrays(1, p.freqs[nonzero, 0], p.values[nonzero])
     num = weighted_l2(centred, m)
     if denom == 0.0:
         return math.nan

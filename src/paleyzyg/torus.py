@@ -1,7 +1,7 @@
 """Trigonometric polynomials on the torus and their norm functionals.
 
 Coefficients are stored sparsely (integer frequency -> complex value, zero
-entries elided), as a dict and as the arrays it is validated into.
+entries elided) as arrays; the dict ``TrigPoly.coeffs`` is a view of them.
 ``synthesize``/``analyze`` move between the coefficient table and uniform
 grid samples via the FFT; both are exact up to round-off whenever the grid
 strictly oversamples the degree (M > 2 * degree per axis).  ``_sample_blocks``
@@ -14,8 +14,9 @@ kernel of ``lp_norm`` and ``orlicz_functional``, also reduces them one by
 one, so the Orlicz means and sups of large grids build no sample array.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,28 +43,34 @@ def _key_error(keys, dim):
     return ValueError("frequencies do not fit in int64")
 
 
-@dataclass(frozen=True)
+def _lex_order(freqs):
+    """The order that sorts the rows of an (n, dim) frequency array."""
+    return np.lexsort(freqs.T[::-1])
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class TrigPoly:
     """Finitely supported coefficient table f_hat on Z**dim.
 
     Frequencies are ints for dim == 1 and tuples of ints otherwise.  The table
-    is validated once, as arrays: ``freqs`` (n x dim int64) and ``values``
-    (complex128) hold it in the order of ``coeffs``, and every consumer that
-    computes reads them.  Zero coefficients are dropped from all three.
+    is validated once into arrays, which are the table: ``freqs`` (n x dim
+    int64) and ``values`` (complex128), zero coefficients dropped, in the
+    order given.  ``coeffs`` is a dict view of them, built on first read.
     """
 
     dim: int
-    coeffs: dict = field(default_factory=dict)
-    freqs: np.ndarray = field(init=False, repr=False, compare=False)
-    values: np.ndarray = field(init=False, repr=False, compare=False)
+    freqs: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        keys = list(self.coeffs)
+    def __init__(self, dim, coeffs=None):
+        coeffs = {} if coeffs is None else coeffs
+        object.__setattr__(self, "dim", dim)
+        keys = list(coeffs)
         try:
             freqs = np.array(keys)
         except ValueError:
             raise _key_error(keys, self.dim) from None
-        self._set_table(freqs, np.array(list(self.coeffs.values()), dtype=np.complex128), keys)
+        self._set_table(freqs, np.array(list(coeffs.values()), dtype=np.complex128), keys)
 
     @classmethod
     def from_arrays(cls, dim, freqs, values):
@@ -76,9 +83,12 @@ class TrigPoly:
         p._set_table(np.asarray(freqs), np.asarray(values, dtype=np.complex128))
         return p
 
+    def _key(self, row):
+        return int(row[0]) if self.dim == 1 else tuple(row.tolist())
+
     def _set_table(self, freqs, values, keys=None):
         """Validate the keys (as the array freqs) and the coefficients, then
-        store the table, zero coefficients dropped, as coeffs/freqs/values."""
+        store the table, zero coefficients dropped, as freqs/values."""
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         n = len(freqs)
@@ -91,18 +101,36 @@ class TrigPoly:
         freqs = freqs.astype(np.int64).reshape(n, self.dim)
         bad = ~np.isfinite(values)
         if bad.any():
-            i = int(np.argmax(bad))
-            key = int(freqs[i, 0]) if self.dim == 1 else tuple(freqs[i].tolist())
-            raise ValueError(f"non-finite coefficient at {key!r}")
+            raise ValueError(f"non-finite coefficient at {self._key(freqs[np.argmax(bad)])!r}")
         keep = values != 0
         freqs, values = freqs[keep], values[keep]
-        table = freqs[:, 0].tolist() if self.dim == 1 else map(tuple, freqs.tolist())
-        coeffs = dict(zip(table, values.tolist()))
-        if len(coeffs) < len(values):
-            raise ValueError("a frequency carries two nonzero coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        ordered = freqs[_lex_order(freqs)]
+        dup = (ordered[1:] == ordered[:-1]).all(axis=1)
+        if dup.any():
+            raise ValueError(f"frequency {self._key(ordered[np.argmax(dup)])!r} "
+                             "carries two nonzero coefficients")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def coeffs(self):
+        """The table as a dict {frequency: coefficient}, in the order of the
+        arrays; built on first read, which no computing consumer does."""
+        keys = self.freqs[:, 0].tolist() if self.dim == 1 else map(tuple, self.freqs.tolist())
+        return dict(zip(keys, self.values.tolist()))
+
+    def __eq__(self, other):
+        """Equal tables: the same dim and the same frequency -> coefficient map."""
+        if not isinstance(other, TrigPoly):
+            return NotImplemented
+        if self.dim != other.dim or len(self.values) != len(other.values):
+            return False
+        a, b = _lex_order(self.freqs), _lex_order(other.freqs)
+        return (np.array_equal(self.freqs[a], other.freqs[b])
+                and np.array_equal(self.values[a], other.values[b]))
+
+    def __repr__(self):
+        return f"TrigPoly(dim={self.dim!r}, coeffs={self.coeffs!r})"
 
     @property
     def support(self):
@@ -111,7 +139,7 @@ class TrigPoly:
     @property
     def degrees(self):
         """Per-axis max |n| over the support (tuple of length dim)."""
-        if not self.coeffs:
+        if not len(self.values):
             return (0,) * self.dim
         return tuple(np.abs(self.freqs).max(axis=0).tolist())
 
@@ -120,8 +148,8 @@ class TrigPoly:
         return max(self.degrees)
 
     def coefficient(self, n):
-        key = n if self.dim > 1 else int(n)
-        return self.coeffs.get(key, 0j)
+        hit = np.flatnonzero((self.freqs == np.reshape(n, self.dim)).all(axis=1))
+        return complex(self.values[hit[0]]) if hit.size else 0j
 
     def l2_coeff_norm(self):
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2)))
@@ -129,12 +157,14 @@ class TrigPoly:
 
 def coeffs_close(p, q, rel_tol=1e-10):
     """Max absolute coefficient difference <= rel_tol * max coefficient magnitude."""
-    keys = set(p.coeffs) | set(q.coeffs)
-    if not keys:
+    freqs = np.concatenate([p.freqs, q.freqs])
+    if not len(freqs):
         return True
-    scale = max(max((abs(c) for c in p.coeffs.values()), default=0.0),
-                max((abs(c) for c in q.coeffs.values()), default=0.0), 1e-300)
-    worst = max(abs(p.coeffs.get(k, 0j) - q.coeffs.get(k, 0j)) for k in keys)
+    order = _lex_order(freqs)
+    freqs, diffs = freqs[order], np.concatenate([p.values, -q.values])[order]
+    starts = np.flatnonzero(np.r_[True, (freqs[1:] != freqs[:-1]).any(axis=1)])
+    worst = float(np.abs(np.add.reduceat(diffs, starts)).max())
+    scale = max(float(np.abs(diffs).max()), 1e-300)
     return worst <= rel_tol * scale
 
 

@@ -41,28 +41,33 @@ class ZygmundReport:
     multiplier: str
 
 
+# First frequency of each shifted block: I_k starts at 2^k - 1.
+_SHIFTED_STARTS = (1 << np.arange(63, dtype=np.int64)) - 1
+
+
 def dyadic_max_select(p: TrigPoly) -> GreedySelection:
     """For each shifted block I_k meeting supp(p), k >= 1, pick the frequency
     of largest |f_hat| (ties resolved to the smallest frequency)."""
     if p.dim != 1:
         raise ValueError("selection is 1D")
-    if any(n < 0 for n in p.coeffs):
+    n = p.freqs[:, 0]
+    if (n < 0).any():
         raise ValueError("support must be non-negative; split +- parts first")
-    per_block = {}
-    for n, c in p.coeffs.items():
-        if n == 0:
-            continue
-        k = DyadicBlocks.shifted_block_of(n)
-        mag = abs(c)
-        cur = per_block.get(k)
-        if cur is None or mag > cur[1] or (mag == cur[1] and n < cur[0]):
-            per_block[k] = (n, mag)
-    ks = tuple(sorted(per_block))
+    # np.hypot gives abs() of each coefficient bit for bit; np.abs may not
+    mags = np.hypot(p.values.real, p.values.imag)
+    skipped = float(mags[n == 0].sum())
+    n, mags = n[n != 0], mags[n != 0]
+    k = np.searchsorted(_SHIFTED_STARTS, n, side="right") - 1
+    # by block, then largest |f_hat|, then smallest frequency: the first of
+    # each block is its pick
+    order = np.lexsort((n, -mags, k))
+    k, n, mags = k[order], n[order], mags[order]
+    first = np.diff(k, prepend=-1) != 0
     return GreedySelection(
-        block_indices=ks,
-        lambdas=tuple(per_block[k][0] for k in ks),
-        maxima=tuple(per_block[k][1] for k in ks),
-        skipped_mean=abs(p.coeffs.get(0, 0j)),
+        block_indices=tuple(k[first].tolist()),
+        lambdas=tuple(n[first].tolist()),
+        maxima=tuple(mags[first].tolist()),
+        skipped_mean=skipped,
     )
 
 
@@ -123,7 +128,7 @@ def zygmund_ratio(p: TrigPoly, m: MultiplierSeq, check_multiplier=True) -> Zygmu
     # block_filling_corpus(20, k 1..12) and 1.9%, 2.6%, 2.8% for V_{2^N} at
     # N = 4, 8, 10.  The mean is reduced block by block (_grid_readings).
     grid = grid_size(p.degree, 2)
-    phi = _grid_readings(p, grid, [(1, 0.5)])[0] if p.coeffs else 0.0
+    phi = _grid_readings(p, grid, [(1, 0.5)])[0] if len(p.values) else 0.0
     lhs = weighted_l2(p, m)
     rhs = 1.0 + phi
     return ZygmundReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, grid=grid, multiplier=m.form)
