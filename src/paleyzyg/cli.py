@@ -208,9 +208,15 @@ def _parse_measure(args):
     raise ValueError(f"unknown measure {args.measure!r}")
 
 
+def _rline_corpus(args):
+    if args.corpus < 1:
+        raise ValueError(f"--corpus must be >= 1, got {args.corpus}")
+    return realline.random_mean_zero_corpus(args.corpus, seed=args.seed)
+
+
 def cmd_rline_paley(args):
     mu = _parse_measure(args)
-    corpus = realline.random_mean_zero_corpus(args.corpus, seed=args.seed)
+    corpus = _rline_corpus(args)
     k_range = (args.k_min, args.k_max)
     rep = realline.paley_inequality_probe(mu, corpus, k_range)
     sup_rep = realline.paley_sup(mu, k_range)
@@ -223,12 +229,12 @@ def cmd_rline_paley(args):
 
 def cmd_rline_zygmund(args):
     mu = _parse_measure(args)
-    corpus = realline.random_mean_zero_corpus(args.corpus, seed=args.seed)
+    corpus = _rline_corpus(args)
     rows = []
     for i, s in enumerate(corpus):
         rep = realline.zygmund_realline_probe(mu, s, (args.k_min, args.k_max))
         rows.append([i, rep.lhs, rep.rhs, rep.ratio])
-    prov = {"max_ratio": max((r[3] for r in rows), default=0.0)}
+    prov = {"max_ratio": max(r[3] for r in rows)}
     return Report("rline-zygmund", ["index", "lhs", "rhs", "ratio"], rows, prov), 0
 
 
@@ -330,6 +336,9 @@ def main(argv=None):
         report, code = args.fn(args)
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.cmd}; try smaller sizes", file=sys.stderr)
         return 1
     if report is not None:
         report.config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}

@@ -4,10 +4,14 @@ Suprema over all polynomials on a spectrum are approximated from below by
 ensemble maxima, so every reported constant or exponent is a lower-bound
 probe with one-sided semantics.  L^p means use even p only: the rectangle
 rule is exact on a power-of-two grid past (p/2) * span per axis, the span
-being max - min of the spectrum on that axis (torus.grid_size).  A moment
-probe synthesises each coefficient table once, on the exact grid of the
-largest p, and reads every smaller p on its own exact grid, a strided view
-of the big one, so every ensemble member is drawn once per p grid.
+being max - min of the spectrum on that axis (torus.grid_size).  Every
+draw is an array pair (freqs, values): the spectrum's one sorted frequency
+array, shared by all members, and the member's coefficients, zeros kept.  A
+moment probe draws each member once and reads the members of an ensemble
+as the rows of one array: rows with the same grids are synthesised
+together, in chunks of a fixed number of points, on the exact grid of the
+largest p, and every smaller p reads its own exact grid as a strided view
+of the big one.
 
 The 'phase-ascent' draw of a moment probe is the flat (all-ones)
 polynomial on the frequency set, and it attains the supremum over
@@ -239,7 +243,10 @@ def _moment_ratios(freqs, V, p_grid):
     its nonzero entries, and rows with the same grids are read together:
     synthesised on the exact grid of the largest p, in chunks of at most
     _CHUNK_POINTS points, while each p reads its own exact grid as a
-    strided view (both sizes are powers of two per axis).
+    strided view (both sizes are powers of two per axis).  The ratio does
+    not change when |f|^2 is scaled, so each row is divided by its max
+    first: the p/2-th powers then lie in [0, 1] and the largest is 1, which
+    keeps them from overflowing or underflowing as a whole at any p.
     """
     V = np.asarray(V, dtype=np.complex128)
     freqs = np.asarray(freqs, dtype=np.int64).reshape(V.shape[1], -1)
@@ -261,12 +268,14 @@ def _moment_ratios(freqs, V, p_grid):
         for c in range(0, len(rows), step):
             chunk = rows[c:c + step]
             m2 = np.abs(_sample_rows(freqs, V[chunk], big)) ** 2
+            axes = tuple(range(1, m2.ndim))
+            m2 /= m2.max(axis=axes, keepdims=True)
             for i, (p, grid) in enumerate(zip(p_grid, grids)):
                 view = m2[(slice(None), *(slice(None, None, b // g) for b, g in zip(big, grid)))]
-                axes = tuple(range(1, view.ndim))
                 l2 = np.mean(view, axis=axes).tolist()
                 lp = np.mean(view ** (p // 2), axis=axes).tolist()
                 ratios[chunk, i] = [a ** (1.0 / p) / math.sqrt(b) for a, b in zip(lp, l2)]
+            del m2, view        # before the next chunk is sampled
     return ratios
 
 
@@ -452,12 +461,11 @@ def sidon_lower_bound(m, freqs, ensembles) -> float:
     weights = np.abs(m.values_at(elems))
     best = 0.0
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
-    cand = mags = None
+    # the ascent's candidates and their moduli, reused by every step
+    cand = np.empty((len(phases), M), dtype=np.complex128)
+    mags = np.empty((len(phases), M))
     for ens in ensembles:
         if ens.kind == "phase-ascent":
-            if cand is None:
-                cand = np.empty((len(phases), M), dtype=np.complex128)
-                mags = np.empty((len(phases), M))
             coeffs = np.ones(len(elems), dtype=np.complex128)
             f = chars.sum(axis=0)
             sup = float(np.abs(f).max())

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from paleyzyg import torus
+from paleyzyg import extremals, torus
 from paleyzyg.cli import main
 
 
@@ -115,6 +115,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert "M = 256 needs 8192 points, over the budget of 1024" in captured.err
 
+    def test_out_of_memory_exits_1_with_message(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(extremals, "vallee_poussin", exhausted)
+        assert main(["zygmund-ratio", "--vp", "22"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: out of memory in zygmund-ratio" in captured.err
+
     def test_ingham_weight_sum_below_2_rejected(self, capsys):
         assert main(["ingham", "--m-min", "8", "--m-max", "9", "--sum-limit", "1"]) == 1
         captured = capsys.readouterr()
@@ -127,6 +136,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--gap applies to atoms only" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rline-zygmund", "--corpus", "-1"), "--corpus must be >= 1, got -1"),
+        (("rline-paley", "--corpus", "0"), "--corpus must be >= 1, got 0")])
+    def test_empty_corpus_rejected(self, capsys, argv, message):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
     @pytest.mark.parametrize("argv, message", [
         (("paley-check", "--form", "bogus"), "unknown multiplier form 'bogus'"),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from paleyzyg import (Ensemble, FrequencySet, MultiplierSeq, PlainSpectrum,
                       growth_exponent, lambda_p_ratio, lp_norm, next_pow2,
                       offdiagonal_split, sidon_lower_bound, synthesize, tensor_growth)
 from paleyzyg.cli import main
+from paleyzyg import growth
 from paleyzyg.growth import _moment_ratios
 from paleyzyg.torus import grid_size
 
@@ -62,6 +64,17 @@ class TestLambdaPRatio:
         fs = FrequencySet(1, frozenset([0, 7]))
         r = lambda_p_ratio(fs, 4, Ensemble("flat"))
         assert r == pytest.approx(6 ** 0.25 / math.sqrt(2), rel=1e-12)
+
+    def test_huge_p_finite_and_bounded(self):
+        # the p/2-th power of |f|^2 overflows past p ~ 500 unless scaled; the
+        # ratio is at most sup|f| / ||f||_2 <= sqrt(|Lambda|) for unimodular f
+        fs = FrequencySet(1, frozenset([1, 2, 4, 8]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ens in (Ensemble("flat"), Ensemble("random-signs", seed=101, trials=4)):
+                r = lambda_p_ratio(fs, 100000, ens)
+                assert math.isfinite(r) and 1.0 < r <= 2.0 * (1 + 1e-12)
+            assert lambda_p_ratio(fs, 100000, Ensemble("flat")) > 1.99
 
     def test_singleton_all_p(self):
         fs = FrequencySet(1, frozenset([9]))
@@ -381,3 +394,58 @@ class TestMomentRoutine:
         assert main(["lambda-p", "--trials", "6", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(P_GRID)
         assert counts == {t: 1 for t in range(6)}
+
+
+class TestBatchedReader:
+    """The batched reading of an ensemble against one-row readings, bit for bit."""
+
+    @staticmethod
+    def _per_row(freqs, V, p_grid=P_GRID):
+        return np.concatenate([_moment_ratios(freqs, V[i:i + 1], p_grid) for i in range(len(V))])
+
+    @staticmethod
+    def _stack(draws):
+        return draws[0][0], np.stack([v for _, v in draws])
+
+    @pytest.mark.parametrize("spectrum", [
+        PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 6).terms))),
+        SumsetSpectrum(geometric_lacunary(2, 6), 2),
+        SumsetSpectrum(geometric_lacunary(2, 6), 3),
+        PlainSpectrum(FrequencySet(2, frozenset((a, b) for a in (1, 2, 4) for b in (-3, 0, 5))))])
+    @pytest.mark.parametrize("ensemble", [Ensemble("random-signs", seed=5, trials=6),
+                                          Ensemble("steinhaus", seed=6, trials=6)])
+    def test_ensembles(self, spectrum, ensemble):
+        freqs, V = self._stack([spectrum.draw(ensemble, t) for t in range(ensemble.trials)])
+        assert np.array_equal(_moment_ratios(freqs, V, P_GRID), self._per_row(freqs, V))
+
+    def test_tensor_ensemble(self):
+        spec = TensorSpectrum([SumsetSpectrum(geometric_lacunary(2, 5), 2),
+                               PlainSpectrum(FrequencySet(1, frozenset([1, 3, 9])))])
+        ens = Ensemble("steinhaus", seed=7, trials=5)
+        members = [spec.draw_factors(ens, t) for t in range(ens.trials)]
+        per_member = np.ones((ens.trials, len(P_GRID)))
+        for axis in zip(*members):
+            freqs, V = self._stack(axis)
+            batched = _moment_ratios(freqs, V, P_GRID)
+            assert np.array_equal(batched, self._per_row(freqs, V))
+            per_member *= batched
+        assert np.array_equal(best_ratios(spec, P_GRID, ens), tuple(per_member.max(axis=0)))
+
+    def test_cancelled_extreme_takes_a_smaller_grid(self):
+        # members whose top coefficient cancels span less than the others, so
+        # the one ensemble is read on two grids; on the smaller one (512
+        # points) the cancelled frequency 515 shares the bin of 3
+        freqs = np.array([-5, -1, 0, 3, 515])
+        V = np.array([[1, 1j, -1, 2, 1], [1, -1j, 1, 1, 1 - 1],
+                      [0.5, 1, 1j, -1, 1j], [2, 1, -1j, 1j, 1j - 1j]])
+        assert [grid_size(s, 32) for s in (520, 8)] == [32768, 512]
+        assert np.array_equal(_moment_ratios(freqs, V, P_GRID), self._per_row(freqs, V))
+        table = {n: v for n, v in zip(freqs.tolist(), V[1].tolist()) if v != 0}
+        assert _moment_ratios(freqs, V[1:2], (4,))[0, 0] == even_p_ratio(table, 4)
+
+    def test_ensemble_larger_than_a_chunk(self):
+        spec = PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 8).terms)))
+        ens = Ensemble("steinhaus", seed=8, trials=40)
+        freqs, V = self._stack([spec.draw(ens, t) for t in range(ens.trials)])
+        assert 0 < growth._CHUNK_POINTS // grid_size(127, 32) < len(V)
+        assert np.array_equal(_moment_ratios(freqs, V, P_GRID), self._per_row(freqs, V))

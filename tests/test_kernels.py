@@ -33,3 +33,16 @@ def test_min_sup_phase_matches_loop(rng):
     bi, bv = _kernels.min_sup_phase(base, char, phases)
     assert bi == best_i
     assert abs(bv - best_sup) <= 1e-12 * max(best_sup, 1.0)
+
+
+def test_min_sup_phase_buffers_change_nothing(rng):
+    base = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    char = np.exp(2j * np.pi * np.arange(256) * 7 / 256)
+    phases = np.exp(2j * np.pi * np.arange(16) / 16)
+    cand = np.empty((16, 256), dtype=np.complex128)
+    mags = np.empty((16, 256))
+    for _ in range(2):      # the buffers hold the last call's values
+        assert _kernels.min_sup_phase(base, char, phases, cand, mags) == \
+            _kernels.min_sup_phase(base, char, phases)
+        assert np.array_equal(mags, np.abs(base + phases[:, None] * char))
+        base = base[::-1].copy()

@@ -99,6 +99,27 @@ class TestTrigPoly:
         with pytest.raises(ValueError, match="dim must be >= 1"):
             TrigPoly.from_arrays(0, np.array([], dtype=np.int64), np.ones(0))
 
+    def test_coeffs_is_a_view_built_on_first_read(self):
+        p = TrigPoly.from_arrays(1, np.array([5, -2, 9, 5]), np.array([1.0, 2j, 0.0, 0.0]))
+        assert "coeffs" not in vars(p)
+        assert p.coefficient(-2) == 2j and p.coefficient(9) == 0j and p.degree == 5
+        assert p.coeffs == {5: 1.0, -2: 2j} and "coeffs" in vars(p)
+        assert p.coeffs is p.coeffs
+
+    def test_equality_compares_tables(self):
+        p = TrigPoly.from_arrays(2, np.array([[1, 2], [0, -3]]), np.array([1.0, 2j]))
+        assert p == TrigPoly(2, {(0, -3): 2j, (1, 2): 1.0, (4, 4): 0.0})
+        assert p != TrigPoly(2, {(0, -3): 2j, (1, 2): 1.5})
+        assert p != TrigPoly(2, {(0, -3): 2j, (1, 3): 1.0})
+        assert p != TrigPoly(2, {(0, -3): 2j})
+        assert TrigPoly(1, {3: 1.0}) != TrigPoly(2, {(3, 0): 1.0})
+
+    @pytest.mark.parametrize("dim, freqs, key", [
+        (1, [3, 1, 3], "3"), (2, [[1, 2], [0, 0], [1, 2]], r"\(1, 2\)")])
+    def test_repeated_frequency_named(self, dim, freqs, key):
+        with pytest.raises(ValueError, match=f"frequency {key} carries two nonzero"):
+            TrigPoly.from_arrays(dim, np.array(freqs), np.ones(3))
+
     def test_frequencies_past_int64_rejected(self):
         with pytest.raises(ValueError, match="do not fit in int64"):
             TrigPoly(1, {2 ** 63: 1.0})
