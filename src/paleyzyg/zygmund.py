@@ -41,10 +41,6 @@ class ZygmundReport:
     multiplier: str
 
 
-# First frequency of each shifted block: I_k starts at 2^k - 1.
-_SHIFTED_STARTS = (1 << np.arange(63, dtype=np.int64)) - 1
-
-
 def dyadic_max_select(p: TrigPoly) -> GreedySelection:
     """For each shifted block I_k meeting supp(p), k >= 1, pick the frequency
     of largest |f_hat| (ties resolved to the smallest frequency)."""
@@ -57,7 +53,7 @@ def dyadic_max_select(p: TrigPoly) -> GreedySelection:
     mags = np.hypot(p.values.real, p.values.imag)
     skipped = float(mags[n == 0].sum())
     n, mags = n[n != 0], mags[n != 0]
-    k = np.searchsorted(_SHIFTED_STARTS, n, side="right") - 1
+    k = np.array([DyadicBlocks.shifted_block_of(v) for v in n.tolist()], dtype=np.int64)
     # by block, then largest |f_hat|, then smallest frequency: the first of
     # each block is its pick
     order = np.lexsort((n, -mags, k))

@@ -141,6 +141,20 @@ class TestTensor:
             fact = even_p_ratio(cg, p) * even_p_ratio(ch, p)
             assert full == pytest.approx(fact, rel=1e-11)
 
+    def test_full_draw_is_the_outer_product(self):
+        spec = TensorSpectrum([PlainSpectrum(FrequencySet(1, frozenset([1, 2, 4]))),
+                               SumsetSpectrum(geometric_lacunary(2, 3), 2)])
+        ens = Ensemble("steinhaus", seed=3, trials=2)
+        freqs, values = spec.draw(ens, 1)
+        (f, x), (g, y) = spec.draw_factors(ens, 1)
+        # numpy's complex products may round differently from Python's
+        assert {tuple(n): v for n, v in zip(freqs.tolist(), values.tolist())} == pytest.approx(
+            {(a, b): u * w for a, u in zip(f.tolist(), x) for b, w in zip(g.tolist(), y)},
+            rel=1e-15, abs=0)
+        full = _moment_ratios(freqs, values[None], P_GRID)[0]
+        fact = _moment_ratios(f, x[None], P_GRID)[0] * _moment_ratios(g, y[None], P_GRID)[0]
+        assert np.allclose(full, fact, rtol=1e-11, atol=0)
+
     def test_singleton_product_degenerate(self):
         a = FrequencySet(1, frozenset([3]))
         rep = tensor_growth([a, a], (4, 8, 16), Ensemble("flat"))
