@@ -17,8 +17,8 @@ import numpy as np
 from .multipliers import MultiplierSeq
 # synthesize is unused here but stays bound: perfbench/tests checks that a
 # traced run rebinds a name one module imports from another.
-from .torus import (SUP_L1_FACTOR, TrigPoly, _abs_readings, _grid_readings, _orlicz_term,
-                    _sample_blocks, check_budget, grid_size, synthesize, weighted_l2)
+from .torus import (SUP_L1_FACTOR, TrigPoly, _grid_readings, _orlicz_term, check_budget,
+                    grid_size, synthesize, weighted_l2)
 
 
 def fejer(n: int) -> TrigPoly:
@@ -89,7 +89,7 @@ def sharpness_experiment(n_range, r_list=(0.25, 0.5)) -> SharpnessTable:
         lhs.append(weighted_l2(vp, m))
         M = grid_size(2 ** (N + 1) - 1, SUP_L1_FACTOR)     # the degree of V_{2^N}
         grids.append(M)
-        for r, value in zip(r_values, _grid_readings(vp, M, terms)):
+        for r, value in zip(r_values, _grid_readings(vp.freqs, vp.values, M, terms)):
             phi[r].append(value)
     ratios = {r: tuple(lhs[i] / (1.0 + phi[r][i]) for i in range(len(n_values)))
               for r in r_values}
@@ -138,7 +138,7 @@ def ingham_tail_sup(gamma, c, M) -> float:
     G = grid_size(2 * M, SUP_L1_FACTOR)
     check_budget(G, f"Ingham tail grid for M = {M}")
     n, a = _ingham_coefficients(gamma, c, M + 1, 2 * M)
-    return _abs_readings(_sample_blocks(n[:, None], a, G), G, [(math.inf, 0)])[0]
+    return _grid_readings(n[:, None], a, G, [(math.inf, 0)])[0]
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,6 @@ def ingham_weight_trend(gamma, c, m_values):
         M = int(M)
         p = ingham_partial_sum(gamma, c, M)
         num = sidon_weight_divergence(c, M).partial_sum
-        sup = _grid_readings(p, grid_size(M, SUP_L1_FACTOR), [(math.inf, 0)])[0]
+        sup = _grid_readings(p.freqs, p.values, grid_size(M, SUP_L1_FACTOR), [(math.inf, 0)])[0]
         rows.append((M, num, sup, num / sup))
     return rows

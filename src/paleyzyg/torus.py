@@ -4,14 +4,17 @@ Coefficients are stored sparsely (integer frequency -> complex value, zero
 entries elided) as arrays; the dict ``TrigPoly.coeffs`` is a view of them.
 ``synthesize``/``analyze`` move between the coefficient table and uniform
 grid samples via the FFT; both are exact up to round-off whenever the grid
-strictly oversamples the degree (M > 2 * degree per axis).  ``_sample_blocks``
-is the one sampler of a sparse table, for every module: one inverse FFT, or,
-on 1-D grids of 2^16 points or more, cache-sized blocks, by a pruned
-four-step FFT for sparse tables and by output decimation for dense tables of
-small span (forms, thresholds and measured errors in its docstring).
-``_sample`` assembles the blocks in grid order; ``_abs_readings``, the one
-kernel of ``lp_norm`` and ``orlicz_functional``, also reduces them one by
-one, so the Orlicz means and sups of large grids build no sample array.
+strictly oversamples the degree (M > 2 * degree per axis).  No other
+module samples a table on a grid or reads one.  ``_sample_blocks`` samples
+one 1-D table: one inverse FFT, or, on grids of 2^16 points or more,
+cache-sized blocks, by a pruned four-step FFT for sparse tables and by
+output decimation for dense tables of small span (forms, thresholds and
+measured errors in its docstring).  ``_sample`` puts those blocks in grid
+order, and samples any other table or stack of tables (the moment grids,
+the Sidon characters) by one inverse FFT over the grid axes.
+``_abs_readings``, the one kernel of ``lp_norm`` and ``orlicz_functional``,
+also reduces the blocks one by one for ``_grid_readings``, so the Orlicz
+means and the Ingham and Sidon sups build no sample array.
 """
 
 import functools
@@ -139,9 +142,7 @@ class TrigPoly:
     @property
     def degrees(self):
         """Per-axis max |n| over the support (tuple of length dim)."""
-        if not len(self.values):
-            return (0,) * self.dim
-        return tuple(np.abs(self.freqs).max(axis=0).tolist())
+        return tuple(np.abs(self.freqs).max(axis=0, initial=0).tolist())
 
     @property
     def degree(self):
@@ -320,39 +321,48 @@ def _sample_blocks(freqs, values, M):
 
 
 def _sample(freqs, values, sizes):
-    """Samples of sum_n values[n] e^{2 pi i n . theta_j} on the grid `sizes`.
+    """Samples of sum_n values[..., n] e^{2 pi i n . theta_j} on the grid
+    `sizes`, for one table, values (n,), or a stack of tables, (rows, n), on
+    the (n, dim) int frequencies freqs: shape values.shape[:-1] + sizes.
 
-    The one scatter of a sparse table into a torus grid: frequencies (an
-    n x dim int array) land in their bins modulo the sizes, where
-    coinciding bins add.  A 1-D grid is the natural-order assembly of the
-    blocks of _sample_blocks (its docstring gives the block forms, their
-    thresholds, the twiddle recurrence and the measured deviation from the
-    plain FFT): each block is copied whole into a buffer that holds the
-    grid column by column, and one transposing copy puts the grid in
-    order.  An nD grid takes one inverse FFT.
+    The one scatter of a coefficient table into a torus grid: frequencies
+    land in their bins modulo the sizes, where coinciding bins add.  One
+    table (or a stack of one) on a 1-D grid, zeros dropped, is the blocks of
+    _sample_blocks (its docstring gives their forms, thresholds and measured
+    deviation from the plain FFT), each copied whole into a buffer that
+    holds the grid column by column, put in order by one transposing copy.
+    Anything else takes one scatter and one inverse FFT over the grid axes,
+    which give each row of a stack the bits of that row alone below 2^16
+    points and on nD grids.
     """
-    if len(sizes) > 1:
-        spec = np.zeros(sizes, dtype=np.complex128)
-        np.add.at(spec, tuple((freqs % sizes).T), values)
-        return np.fft.ifftn(spec, norm="forward")
-    M = sizes[0]
-    columns, c = None, 0
-    for block in _sample_blocks(freqs, values, M):
-        if block.size == M:
-            return block.ravel()
-        if columns is None:
-            columns = np.empty((M // len(block), len(block)), dtype=np.complex128)
-        columns[c:c + block.shape[1]] = block.T
-        c += block.shape[1]
-    return columns.T.ravel()
+    rows = values.shape[:-1]
+    if len(sizes) == 1 and math.prod(rows) == 1:
+        (M,), values = sizes, values.reshape(-1)
+        if not values.all():    # no copy of a table without zeros
+            freqs, values = freqs[values != 0], values[values != 0]
+        columns, c = None, 0
+        for block in _sample_blocks(freqs, values, M):
+            if block.size == M:
+                return block.reshape(rows + sizes)
+            if columns is None:
+                columns = np.empty((M // len(block), len(block)), dtype=np.complex128)
+            columns[c:c + block.shape[1]] = block.T
+            c += block.shape[1]
+        return columns.T.reshape(rows + sizes)
+    bins = np.ravel_multi_index(tuple((freqs % sizes).T), sizes)
+    spec = np.zeros((math.prod(rows), math.prod(sizes)), dtype=np.complex128)
+    np.add.at(spec, (np.arange(len(spec))[:, None], bins), values.reshape(len(spec), -1))
+    return np.fft.ifftn(spec.reshape(rows + sizes), norm="forward",
+                        axes=tuple(range(len(rows), len(rows) + len(sizes))))
 
 
-def _checked_sizes(p, sizes):
-    """The sizes tuple for p, after the checks of synthesize."""
-    sizes = _sizes_tuple(sizes, p.dim)
-    if len(sizes) != p.dim:
+def _checked_sizes(degrees, sizes):
+    """The sizes tuple for a table of per-axis degrees, after the checks of
+    synthesize."""
+    sizes = _sizes_tuple(sizes, len(degrees))
+    if len(sizes) != len(degrees):
         raise ValueError("sizes arity does not match polynomial dimension")
-    for m, d in zip(sizes, p.degrees):
+    for m, d in zip(sizes, degrees):
         if m <= 2 * d:
             raise ValueError(
                 f"grid size {m} too small for degree {d}; need at least {next_pow2(2 * d + 1)}")
@@ -368,7 +378,7 @@ def synthesize(p: TrigPoly, sizes) -> GridSignal:
     the samples come from _sample on the table's arrays, and samples that
     overflow raise ValueError.
     """
-    sizes = _checked_sizes(p, sizes)
+    sizes = _checked_sizes(p.degrees, sizes)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = _sample(p.freqs, p.values, sizes)
     return GridSignal(samples)
@@ -426,13 +436,14 @@ def _abs_readings(blocks, npoints, terms):
     return out
 
 
-def _grid_readings(p: TrigPoly, M, terms):
-    """_abs_readings of a 1-D table's samples on M points, with the checks
-    of synthesize, reduced block by block: no array of M samples is made."""
-    if p.dim != 1:
+def _grid_readings(freqs, values, M, terms):
+    """_abs_readings of the samples of a 1-D table, (n, 1) int freqs and
+    its values, on M points, with the checks of synthesize, reduced block
+    by block: no array of M samples is made."""
+    if freqs.shape[1:] != (1,):
         raise ValueError("blocked grid readings are defined for dim 1")
-    (M,) = _checked_sizes(p, M)
-    return _abs_readings(_sample_blocks(p.freqs, p.values, M), M, terms)
+    (M,) = _checked_sizes(np.abs(freqs).max(axis=0, initial=0).tolist(), M)
+    return _abs_readings(_sample_blocks(freqs, values, M), M, terms)
 
 
 def _orlicz_term(r):

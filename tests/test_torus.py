@@ -226,6 +226,48 @@ class TestSynthesize:
         assert coeffs_close(p, q, 1e-10)
 
 
+class TestStackedSample:
+    """A stack of tables (rows, n) on shared frequencies, sampled together."""
+
+    @staticmethod
+    def stack(sizes, rows=5, terms=40):
+        rng = np.random.default_rng([len(sizes), *sizes])
+        # frequencies past the grid wrap, and some share a bin
+        freqs = rng.integers(-3 * max(sizes), 3 * max(sizes), (terms, len(sizes)))
+        freqs[1:4] = freqs[0] + np.array(sizes)
+        V = rng.standard_normal((rows, terms)) + 1j * rng.standard_normal((rows, terms))
+        V[1, ::3] = 0    # zeros, which one table drops before its blocks
+        return freqs, V
+
+    @pytest.mark.parametrize("sizes", [(16,), (1 << 12,), (1 << 15,), (64, 32), (8, 16, 4)])
+    def test_rows_keep_their_bits(self, sizes):
+        freqs, V = self.stack(sizes)
+        got = torus._sample(freqs, V, sizes)
+        assert got.shape == (len(V),) + sizes
+        for row, v in zip(got, V):
+            assert np.array_equal(row, torus._sample(freqs, v, sizes))
+        assert np.array_equal(torus._sample(freqs, V[1:2], sizes)[0], got[1])
+
+    @pytest.mark.parametrize("M", [1 << 16, 1 << 17])
+    def test_rows_of_large_grids_agree(self, M):
+        # one table takes the split there; a stack takes one plain FFT per row
+        freqs, V = self.stack((M,))
+        got = torus._sample(freqs, V, (M,))
+        for row, v in zip(got, V):
+            one = torus._sample(freqs, v, (M,))
+            assert not np.array_equal(row, one)
+            assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
+
+    def test_one_hot_rows_are_characters(self):
+        # the Sidon ascent's characters, against e^{2 pi i (n j mod M) / M}
+        n = np.array([2 ** k for k in range(11)] + [3 * 2 ** 10 - 1])
+        M = torus.grid_size(int(n.max()), torus.SUP_L1_FACTOR)
+        chars = torus._sample(n[:, None], np.eye(len(n)), (M,))
+        exact = np.exp(2j * np.pi * (np.outer(n, np.arange(M)) % M) / M)
+        assert chars.shape == (len(n), M)
+        assert np.abs(chars - exact).max() <= 2e-15
+
+
 @given(st.dictionaries(st.integers(min_value=-30, max_value=30),
                        st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                                           allow_infinity=False),
@@ -396,7 +438,8 @@ class TestBlockedReadings:
         assert len(blocks) == 1 and np.array_equal(blocks[0][:, 0], plain)
         assert np.array_equal(synthesize(p, M).values, plain)
         a = np.abs(plain)
-        got = torus._grid_readings(p, M, [(1, 0.5), (1, 0.25), (1, 0), (2, 0), (math.inf, 0)])
+        got = torus._grid_readings(p.freqs, p.values, M,
+                                   [(1, 0.5), (1, 0.25), (1, 0), (2, 0), (math.inf, 0)])
         assert got == [float(np.mean(a * np.log1p(a) ** 0.5)),
                        float(np.mean(a * np.log1p(a) ** 0.25)), float(np.mean(a)),
                        float(np.mean(a ** 2.0)), float(a.max())]
@@ -417,7 +460,7 @@ class TestBlockedReadings:
         with pytest.raises(ValueError, match="must be finite"):
             zygmund_ratio(p, MultiplierSeq.inverse_sqrt(M), check_multiplier=False)
         with pytest.raises(ValueError, match="must be finite"):
-            torus._grid_readings(p, M, [(math.inf, 0)])
+            torus._grid_readings(p.freqs, p.values, M, [(math.inf, 0)])
 
     def test_readings_that_overflow_raise(self):
         s = GridSignal(np.full(16, 1e308, dtype=complex))
