@@ -100,6 +100,10 @@ def cmd_paley_check(args):
 
 
 def cmd_zygmund_ratio(args):
+    if args.corpus < 0:
+        raise ValueError(f"--corpus must be >= 0, got {args.corpus}")
+    if args.vp is None and args.corpus == 0:
+        raise ValueError("nothing to read: give --vp or --corpus >= 1")
     polys = []
     if args.vp is not None:
         polys.append(("vp", args.vp, extremals.vallee_poussin(args.vp)))
@@ -112,7 +116,7 @@ def cmd_zygmund_ratio(args):
         rep = zygmund.inverse_sqrt_ratio_check(p)
         rows.append([kind, index, rep.lhs, rep.rhs, rep.ratio, rep.grid])
     ratios = [r[4] for r in rows]
-    prov = {"max_ratio": max(ratios) if ratios else 0.0}
+    prov = {"max_ratio": max(ratios)}
     return Report("zygmund-ratio", ["kind", "index", "lhs", "rhs", "ratio", "grid"],
                   rows, prov), 0
 
@@ -137,6 +141,8 @@ def cmd_sharpness(args):
 
 
 def cmd_ingham(args):
+    if args.m_max < args.m_min:
+        raise ValueError(f"--m-max must be >= --m-min, got {args.m_min}..{args.m_max}")
     rows = []
     prev = None
     monotone = True

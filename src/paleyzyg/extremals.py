@@ -49,6 +49,8 @@ def vallee_poussin(N: int) -> TrigPoly:
 
 def _ols_slope(xs, ys):
     """Least-squares (slope, intercept) of log ys against log xs."""
+    if len(set(xs)) < 2:
+        raise ValueError(f"a slope needs at least 2 distinct x values, got {sorted(set(xs))}")
     x = np.log(np.asarray(xs, dtype=float))
     y = np.log(np.asarray(ys, dtype=float))
     A = np.vstack([x, np.ones_like(x)]).T

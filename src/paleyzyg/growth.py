@@ -5,13 +5,13 @@ ensemble maxima, so every reported constant or exponent is a lower-bound
 probe with one-sided semantics.  L^p means use even p only: the rectangle
 rule is exact on a power-of-two grid past (p/2) * span per axis, the span
 being max - min of the spectrum on that axis (torus.grid_size).  Every
-draw is an array pair (freqs, values): the spectrum's one sorted frequency
-array, shared by all members, and the member's coefficients, zeros kept.  A
-moment probe draws each member once and reads the members of an ensemble
-as the rows of one array: rows with the same grids are sampled together
-(torus._sample), in chunks of a fixed number of points, on the exact grid
-of the largest p, and every smaller p reads its own exact grid as a
-strided view of the big one.  Sidon sups are read by torus as well.
+draw is a whole ensemble, an array pair (freqs, V): the spectrum's one
+sorted frequency array and one row of coefficients per member, zeros kept.
+A moment probe draws each ensemble once and reads its rows together: rows
+with the same span are sampled together (torus._sample), in chunks of a
+fixed number of points, on the exact grid of the largest p, and every
+smaller p reads its own exact grid as a strided view of the big one.
+Sidon sups are read by torus as well.
 
 The 'phase-ascent' draw of a moment probe is the flat (all-ones)
 polynomial on the frequency set, and it attains the supremum over
@@ -22,15 +22,15 @@ all-ones value, while ||f||_2^2 = |Lambda| is fixed.
 
 Structured spectra keep their generators: a k-fold signed sumset draws
 coefficients as products of per-term signs or phases (the order-k chaos
-supported on the sumset), and a tensor product draws rank-one coefficient
-tables, whose p-th power means factor exactly across axes.  The fitted
-growth exponent is the least-squares slope of the squared best ratios
-(energy ratios) against p.
+supported on the sumset), and a tensor product draws one stack per axis:
+member t is the outer product of row t on every axis, a rank-one table
+whose p-th power means factor exactly across axes.  The fitted growth
+exponent is the least-squares slope of the squared best ratios (energy
+ratios) against p.
 """
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -55,6 +55,8 @@ class Ensemble:
     the triangle inequality no unimodular choice beats it.  On a sumset it
     differs from 'flat', whose draw carries collision multiplicities.  In
     sidon_lower_bound it is a coordinate ascent minimising the sup norm.
+    A random kind has `trials` members, and member t draws its factors from
+    default_rng([seed, t]); a deterministic kind has one member.
     """
 
     kind: str
@@ -69,18 +71,18 @@ class Ensemble:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
-    def member_count(self):
-        return 1 if self.kind in ("flat", "phase-ascent") else self.trials
 
-
-def _draw_factors(rng, size, kind):
-    if kind == "random-signs":
-        return rng.choice(np.array([-1.0 + 0j, 1.0 + 0j]), size=size)
-    if kind == "steinhaus":
-        return np.exp(2j * np.pi * rng.random(size))
-    if kind == "flat":
-        return np.ones(size, dtype=np.complex128)
-    raise ValueError(f"no direct draw for kind {kind!r}")
+def _draw_factors(ensemble, size):
+    """The per-term factors of every member, (members, size): row t from
+    default_rng([seed, t]), one all-ones row for a deterministic kind."""
+    if ensemble.kind not in ("random-signs", "steinhaus"):
+        return np.ones((1, size), dtype=np.complex128)
+    rows = []
+    for t in range(ensemble.trials):
+        rng = np.random.default_rng([ensemble.seed, t])
+        rows.append(rng.choice(np.array([-1.0 + 0j, 1.0 + 0j]), size=size)
+                    if ensemble.kind == "random-signs" else np.exp(2j * np.pi * rng.random(size)))
+    return np.stack(rows)
 
 
 class PlainSpectrum:
@@ -97,12 +99,9 @@ class PlainSpectrum:
     def frequency_set(self):
         return self.freqs
 
-    def draw(self, ensemble: Ensemble, trial: int):
-        """(freqs, values): the sorted frequencies and one member's coefficients."""
-        if ensemble.kind in ("flat", "phase-ascent"):
-            return self._elems, np.ones(len(self._elems), dtype=np.complex128)
-        rng = np.random.default_rng([ensemble.seed, trial])
-        return self._elems, _draw_factors(rng, len(self._elems), ensemble.kind)
+    def draw(self, ensemble: Ensemble):
+        """(freqs, V): the sorted frequencies and one row of coefficients per member."""
+        return self._elems, _draw_factors(ensemble, len(self._elems))
 
     def describe(self):
         return f"set({len(self.freqs)} freqs, dim {self.dim})"
@@ -138,21 +137,19 @@ class SumsetSpectrum:
     def frequency_set(self):
         return self._fset
 
-    def draw(self, ensemble: Ensemble, trial: int):
-        """(freqs, values): the sorted sumset and one member's coefficients."""
+    def draw(self, ensemble: Ensemble):
+        """(freqs, V): the sorted sumset and one row of coefficients per member."""
         n = len(self._freqs)
         if ensemble.kind == "phase-ascent":
-            return self._freqs, np.ones(n, dtype=np.complex128)
-        if ensemble.kind == "flat":
-            eps = np.ones(self.used_terms, dtype=np.complex128)
-        else:
-            rng = np.random.default_rng([ensemble.seed, trial])
-            eps = _draw_factors(rng, self.used_terms, ensemble.kind)
-        amps = np.repeat(eps[self._combos].prod(axis=1), 2 ** self.k)
-        values = np.empty(n, dtype=np.complex128)
-        values.real = np.bincount(self._bins, amps.real, n)
-        values.imag = np.bincount(self._bins, amps.imag, n)
-        return self._freqs, values
+            return self._freqs, np.ones((1, n), dtype=np.complex128)
+        eps = _draw_factors(ensemble, self.used_terms)
+        amps = np.repeat(eps[:, self._combos].prod(axis=2), 2 ** self.k, axis=1)
+        # row t accumulates into bins t * n .. t * n + n - 1
+        bins = (self._bins + n * np.arange(len(eps))[:, None]).ravel()
+        V = np.empty((len(eps), n), dtype=np.complex128)
+        V.real = np.bincount(bins, amps.real.ravel(), V.size).reshape(V.shape)
+        V.imag = np.bincount(bins, amps.imag.ravel(), V.size).reshape(V.shape)
+        return self._freqs, V
 
     def describe(self):
         return f"sumset(k={self.k}, base {self.used_terms} terms, {len(self._fset)} freqs)"
@@ -174,21 +171,11 @@ class TensorSpectrum:
     def frequency_set(self):
         return product_set([f.frequency_set() for f in self.factors])
 
-    def draw_factors(self, ensemble: Ensemble, trial: int):
-        """The per-axis draws (freqs, values) whose outer product is the member."""
-        sub = []
-        for a, f in enumerate(self.factors):
-            e = Ensemble(ensemble.kind, seed=ensemble.seed + 7919 * (a + 1),
-                         trials=ensemble.trials) if ensemble.kind != "flat" else ensemble
-            sub.append(f.draw(e, trial))
-        return sub
-
-    def draw(self, ensemble: Ensemble, trial: int):
-        """(freqs, values): the product grid in row-major order, (n, dim), and
-        the outer product of the per-axis draws."""
-        freqs, values = zip(*self.draw_factors(ensemble, trial))
-        grid = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        return grid, functools.reduce(np.multiply.outer, values).ravel()
+    def draw_factors(self, ensemble: Ensemble):
+        """The per-axis draws (freqs, V), axis a with seed + 7919 (a + 1):
+        member t is the outer product of row t on every axis."""
+        return [f.draw(replace(ensemble, seed=ensemble.seed + 7919 * (a + 1)))
+                for a, f in enumerate(self.factors)]
 
     def describe(self):
         return "tensor(" + " x ".join(f.describe() for f in self.factors) + ")"
@@ -222,7 +209,7 @@ def _moment_ratios(freqs, V, p_grid):
 
     freqs holds the frequencies shared by the rows, (n,) in 1D and (n, dim)
     otherwise, and V the coefficients, (rows, n).  A row's span comes from
-    its nonzero entries, and rows with the same grids are read together:
+    its nonzero entries, and rows with the same span are read together:
     synthesised on the exact grid of the largest p, in chunks of at most
     _CHUNK_POINTS points, while each p reads its own exact grid as a
     strided view (both sizes are powers of two per axis).  The ratio does
@@ -237,13 +224,12 @@ def _moment_ratios(freqs, V, p_grid):
         raise ValueError("empty coefficient table")
     spans = np.stack([np.where(nonzero, f, f.min()).max(axis=1)
                       - np.where(nonzero, f, f.max()).min(axis=1) for f in freqs.T], axis=1)
-    groups = {}
-    for row, span in enumerate(spans.tolist()):
-        grids = tuple(tuple(grid_size(s, p // 2) for s in span) for p in p_grid)
-        groups.setdefault(grids, []).append(row)
+    spans, group = np.unique(spans, axis=0, return_inverse=True)
     ratios = np.empty((len(V), len(p_grid)))
     big_p = p_grid.index(max(p_grid))
-    for grids, rows in groups.items():
+    for j, span in enumerate(spans.tolist()):
+        rows = np.flatnonzero(group == j)
+        grids = [tuple(grid_size(s, p // 2) for s in span) for p in p_grid]
         big = grids[big_p]
         check_budget(math.prod(big), f"exact grid {big}")
         step = max(1, _CHUNK_POINTS // math.prod(big))
@@ -295,14 +281,10 @@ def best_ratios(spectrum, p_grid, ensembles):
     p_grid = tuple(_check_even_p(p) for p in p_grid)
     best = np.zeros(len(p_grid))
     for e in ensembles:
-        members = range(e.member_count())
         if isinstance(spectrum, TensorSpectrum):
-            axes = zip(*(spectrum.draw_factors(e, t) for t in members))
-            ratios = math.prod(_moment_ratios(draws[0][0], [v for _, v in draws], p_grid)
-                               for draws in axes)
+            ratios = math.prod(_moment_ratios(f, V, p_grid) for f, V in spectrum.draw_factors(e))
         else:
-            draws = [spectrum.draw(e, t) for t in members]
-            ratios = _moment_ratios(draws[0][0], [v for _, v in draws], p_grid)
+            ratios = _moment_ratios(*spectrum.draw(e), p_grid)
         best = np.maximum(best, ratios.max(axis=0))
     return tuple(float(r) for r in best)
 
@@ -320,8 +302,8 @@ def _growth_report(spectrum, p_grid, ensembles) -> GrowthReport:
     if isinstance(ensembles, Ensemble):
         ensembles = (ensembles,)
     p_grid = tuple(_check_even_p(p) for p in p_grid)
-    if len(p_grid) < 3:
-        raise ValueError("need at least 3 p values for a slope fit")
+    if len(set(p_grid)) < 3:
+        raise ValueError(f"need at least 3 distinct p values for a slope fit, got {p_grid}")
     ratios = best_ratios(spectrum, p_grid, ensembles)
     degenerate = all(abs(r - 1.0) < 1e-9 for r in ratios)
     if degenerate:
@@ -461,8 +443,7 @@ def sidon_lower_bound(m, freqs, ensembles) -> float:
                         f = base + phases[b] * chars[i]
             best = max(best, float(weights.sum()) / sup)
         else:
-            for t in range(ens.member_count()):
-                _, cvec = spectrum.draw(ens, t)
+            for cvec in spectrum.draw(ens)[1]:
                 sup = _grid_readings(freqs, cvec, M, [(math.inf, 0)])[0]
                 if sup > 0:
                     best = max(best, float(np.sum(weights * np.abs(cvec))) / sup)

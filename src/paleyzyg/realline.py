@@ -12,7 +12,10 @@ B = 2^floor(log2(M) / 2) and A = M / B.  Since x_j = -L + j h,
 
 which costs n (A + B) exponentials and one (n x B) @ (B x A) matrix product
 for n frequencies, where the dense sum costs n M.  It agrees with the dense
-sum (``_kernels.nudft``) to 3.1e-14 h ||f||_1 at M = 2^15 (measured).
+sum (``_kernels.nudft``) to 3.1e-14 h ||f||_1 at M = 2^15 (measured).  On
+the dual grid xi_m = m/(2L) the transform is h (-1)^m fft(f)_m, and the
+factor cancels on the way back, so the dyadic blocks Delta_k f =
+ifft(eta(2^-k xi) fft(f)) are all read off one FFT of the samples.
 
 Measures are atoms or dyadic-blockwise densities; atom integrals are point
 evaluations of f_hat, densities use 64-point Gauss-Legendre quadrature per
@@ -100,40 +103,27 @@ def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
     return s.h * np.exp(2j * np.pi * s.half_width * freqs) * total
 
 
-def _dual_signs(M):
-    """(-1)^m on the FFT frequencies m = 0..M/2-1, -M/2..-1 of an even size
-    M: the parity of m is that of its index."""
-    return np.resize([1.0, -1.0], M)
-
-
 def _dual_grid(s: CompactSignal):
-    """The dual grid of s: the signs _dual_signs, the FFT frequencies m/(2L)
-    and f_hat there."""
+    """The dual grid xi_m = m/(2L) of s, m = 0..M/2-1, -M/2..-1, and the
+    FFT of its samples (see the module docstring)."""
     M = s.size
-    m = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)   # 0..M/2-1, -M/2..-1
-    signs = _dual_signs(M)
-    return signs, m / (2.0 * s.half_width), s.h * signs * np.fft.fft(s.values)
+    m = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)
+    return m / (2.0 * s.half_width), np.fft.fft(s.values)
 
 
-def _dual_inverse(s: CompactSignal, fhat_mod, signs=None):
-    """The signal on the window of s whose transform on the dual grid is
-    fhat_mod; signs, those of _dual_grid, are computed when not given."""
-    signs = _dual_signs(s.size) if signs is None else signs
-    vals = np.fft.ifft(signs * fhat_mod) * (s.size / (2.0 * s.half_width))
-    return CompactSignal(vals, s.half_width)
-
-
-def _block(s: CompactSignal, dual, k) -> CompactSignal:
-    """Block k of s from its dual grid (the triple of _dual_grid)."""
-    if 2.0 ** (k + 2) > s.band * (1 + 1e-12):
-        raise ValueError(f"block {k} lies outside the validity band (band {s.band})")
-    signs, xi, fhat = dual
-    return _dual_inverse(s, window.eta_scaled(xi, k) * fhat, signs)
+def _blocks(s: CompactSignal, ks):
+    """The samples of Delta_k f = ifft(eta(2^-k xi) fft(f)) for each k in ks,
+    from one FFT of s; a block outside the validity band is rejected."""
+    xi, dft = _dual_grid(s)
+    for k in ks:
+        if 2.0 ** (k + 2) > s.band * (1 + 1e-12):
+            raise ValueError(f"block {k} lies outside the validity band (band {s.band})")
+        yield np.fft.ifft(window.eta_scaled(xi, k) * dft)
 
 
 def lp_block(s: CompactSignal, k) -> CompactSignal:
     """The dyadic frequency block: multiply f_hat by eta(2**-k xi), invert."""
-    return _block(s, _dual_grid(s), k)
+    return CompactSignal(next(_blocks(s, [k])), s.half_width)
 
 
 def default_k_range(s: CompactSignal):
@@ -145,10 +135,9 @@ def square_function_norm(s: CompactSignal, k_range=None) -> float:
     if k_range is None:
         k_range = default_k_range(s)
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    dual = _dual_grid(s)
     acc = np.zeros(s.size)
-    for k in range(k_lo, k_hi + 1):
-        acc += np.abs(_block(s, dual, k).values) ** 2
+    for block in _blocks(s, range(k_lo, k_hi + 1)):
+        acc += np.abs(block) ** 2
     return float(s.h * np.sum(np.sqrt(acc)))
 
 
@@ -461,23 +450,30 @@ def product_paley_sup_2d(mu: PaleyMeasure, nu: PaleyMeasure, k_range) -> Product
                               verdict=verdict, product_identity_gap=gap)
 
 
-def random_mean_zero_corpus(count, half_width=4.0, size=2048, seed=513, bumps=3):
+# Every corpus signal: _CORPUS_BUMPS bumps sampled at _CORPUS_SIZE points on
+# [-_CORPUS_HALF_WIDTH, _CORPUS_HALF_WIDTH).
+_CORPUS_HALF_WIDTH = 4.0
+_CORPUS_SIZE = 2048
+_CORPUS_BUMPS = 3
+
+
+def random_mean_zero_corpus(count, seed=513):
     """Seeded smooth mean-zero signals: random modulated Gaussian bumps under
     a window, centred by the raised-cosine reduction."""
     out = []
-    L = float(half_width)
+    L = _CORPUS_HALF_WIDTH
+    h = 2.0 * L / _CORPUS_SIZE
+    x = -L + h * np.arange(_CORPUS_SIZE)
+    window_taper = np.cos(np.pi * x / (2 * L)) ** 2
     for t in range(count):
         rng = np.random.default_rng([seed, t])
-        h = 2.0 * L / size
-        x = -L + h * np.arange(size)
-        vals = np.zeros(size, dtype=np.complex128)
-        for _ in range(bumps):
+        vals = np.zeros(_CORPUS_SIZE, dtype=np.complex128)
+        for _ in range(_CORPUS_BUMPS):
             centre = rng.uniform(-0.5 * L, 0.5 * L)
             width = rng.uniform(0.08 * L, 0.3 * L)
             freq = rng.uniform(0.0, 1.0 / (16.0 * h))
             amp = complex(*rng.standard_normal(2))
             vals += amp * np.exp(-((x - centre) / width) ** 2) * np.exp(2j * np.pi * freq * x)
-        window_taper = np.cos(np.pi * x / (2 * L)) ** 2
         s = CompactSignal(vals * window_taper, L)
         out.append(mean_zero_reduction(s))
     return out

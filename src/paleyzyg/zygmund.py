@@ -135,7 +135,11 @@ def inverse_sqrt_ratio_check(p: TrigPoly) -> ZygmundReport:
     return zygmund_ratio(p, m, check_multiplier=False)
 
 
-def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240, max_per_block=3):
+# Frequencies drawn per block by block_filling_corpus (duplicates merge).
+_CORPUS_MAX_PER_BLOCK = 3
+
+
+def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240):
     """Seeded random polynomials whose support meets every shifted block
     k in [k_lo, k_hi]; coefficients are complex gaussians."""
     polys = []
@@ -145,7 +149,7 @@ def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240, max_per_block=3):
         for k in range(k_lo, k_hi + 1):
             lo, hi = DyadicBlocks.shifted_block_range(k)
             width = hi - lo + 1
-            picks = rng.integers(lo, hi + 1, size=min(max_per_block, width))
+            picks = rng.integers(lo, hi + 1, size=min(_CORPUS_MAX_PER_BLOCK, width))
             for n in set(int(v) for v in picks):
                 re, im = rng.standard_normal(2)
                 coeffs[n] = complex(re, im)

@@ -147,6 +147,23 @@ class TestExitCodes:
         assert f"error: {message}" in captured.err
 
     @pytest.mark.parametrize("argv, message", [
+        (("sharpness", "--n-min", "5", "--n-max", "5"),
+         "a slope needs at least 2 distinct x values, got [5]"),
+        (("sharpness", "--n-min", "6", "--n-max", "5"),
+         "a slope needs at least 2 distinct x values, got []"),
+        (("bonami", "--count", "5", "--p", "4,4,4", "--cap", "256"),
+         "need at least 3 distinct p values for a slope fit, got (4, 4, 4)"),
+        (("zygmund-ratio",), "nothing to read: give --vp or --corpus >= 1"),
+        (("zygmund-ratio", "--vp", "3", "--corpus", "-3"), "--corpus must be >= 0, got -3"),
+        (("ingham", "--m-min", "12", "--m-max", "10"), "--m-max must be >= --m-min, got 12..10")])
+    def test_degenerate_or_empty_request_rejected(self, capsys, argv, message):
+        # one N, no N, one distinct p, no polynomial or no M: nothing to fit or report
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
         (("paley-check", "--form", "bogus"), "unknown multiplier form 'bogus'"),
         (("sidon-lb", "--form", "bogus"), "unknown multiplier form 'bogus'"),
         (("rline-paley", "--measure", "bogus", "--corpus", "1"), "unknown measure 'bogus'")])

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from paleyzyg.torus import grid_size
 P_GRID = (4, 8, 16, 32, 64)
 
 
-def _as_table(draw):
-    """The coefficient dict of a 1D array draw (freqs, values), zeros dropped."""
-    freqs, values = draw
-    return {n: v for n, v in zip(freqs.tolist(), values.tolist()) if v != 0}
+def _as_table(draw, t=0):
+    """The coefficient dict of member t of a 1D draw (freqs, V), zeros dropped."""
+    freqs, V = draw
+    return {n: v for n, v in zip(freqs.tolist(), V[t].tolist()) if v != 0}
 
 
 class TestEvenPRatio:
@@ -110,7 +111,7 @@ class TestGrowthExponent:
         # drawing signs vs drawing scaled signs yields identical ratios
         lam = geometric_lacunary(2, 6)
         spec = SumsetSpectrum(lam, 2)
-        c = _as_table(spec.draw(Ensemble("random-signs", seed=5, trials=1), 0))
+        c = _as_table(spec.draw(Ensemble("random-signs", seed=5, trials=1)))
         r1 = even_p_ratio(c, 8)
         r2 = even_p_ratio({n: 3.5 * v for n, v in c.items()}, 8)
         assert r1 == pytest.approx(r2, rel=1e-12)
@@ -141,18 +142,15 @@ class TestTensor:
             fact = even_p_ratio(cg, p) * even_p_ratio(ch, p)
             assert full == pytest.approx(fact, rel=1e-11)
 
-    def test_full_draw_is_the_outer_product(self):
+    def test_member_is_the_outer_product_of_rows(self):
+        # member t is the outer product of row t on every axis; its full 2D
+        # ratio is the product of the rows' 1D ratios
         spec = TensorSpectrum([PlainSpectrum(FrequencySet(1, frozenset([1, 2, 4]))),
                                SumsetSpectrum(geometric_lacunary(2, 3), 2)])
-        ens = Ensemble("steinhaus", seed=3, trials=2)
-        freqs, values = spec.draw(ens, 1)
-        (f, x), (g, y) = spec.draw_factors(ens, 1)
-        # numpy's complex products may round differently from Python's
-        assert {tuple(n): v for n, v in zip(freqs.tolist(), values.tolist())} == pytest.approx(
-            {(a, b): u * w for a, u in zip(f.tolist(), x) for b, w in zip(g.tolist(), y)},
-            rel=1e-15, abs=0)
-        full = _moment_ratios(freqs, values[None], P_GRID)[0]
-        fact = _moment_ratios(f, x[None], P_GRID)[0] * _moment_ratios(g, y[None], P_GRID)[0]
+        (f, X), (g, Y) = spec.draw_factors(Ensemble("steinhaus", seed=3, trials=2))
+        freqs = np.array([(a, b) for a in f.tolist() for b in g.tolist()])
+        full = _moment_ratios(freqs, np.multiply.outer(X[1], Y[1]).reshape(1, -1), P_GRID)[0]
+        fact = _moment_ratios(f, X[1:], P_GRID)[0] * _moment_ratios(g, Y[1:], P_GRID)[0]
         assert np.allclose(full, fact, rtol=1e-11, atol=0)
 
     def test_singleton_product_degenerate(self):
@@ -286,8 +284,7 @@ class TestSidonLowerBound:
         phases = np.array([[n * j % M for j in range(M)] for n in elems])
         chars = np.exp(2j * np.pi * phases / M)
         want = 0.0
-        for t in range(ens.member_count()):
-            _, c = base.draw(ens, t)
+        for c in base.draw(ens)[1]:
             want = max(want, float(np.sum(np.abs(c))) / float(np.abs(c @ chars).max()))
         got = sidon_lower_bound(MultiplierSeq.constant(1.0, max(elems)), base, ens)
         assert got == pytest.approx(want, rel=1e-15, abs=0)
@@ -307,16 +304,16 @@ class TestPhaseAscent:
 
     def test_sumset_draw_is_flat_on_frequency_set(self):
         spec = SumsetSpectrum(geometric_lacunary(2, 6), 2)
-        draw = _as_table(spec.draw(Ensemble("phase-ascent"), 0))
+        draw = _as_table(spec.draw(Ensemble("phase-ascent")))
         assert set(draw) == set(spec.frequency_set().elements)
         assert all(c == 1.0 for c in draw.values())
         # the 'flat' draw carries the collision multiplicities of the sumset
-        assert draw != _as_table(spec.draw(Ensemble("flat"), 0))
+        assert draw != _as_table(spec.draw(Ensemble("flat")))
 
     def test_tensor_factors_are_flat(self):
         spec = TensorSpectrum([SumsetSpectrum(geometric_lacunary(2, 4), 2),
                                PlainSpectrum(FrequencySet(1, frozenset([1, 3, 9])))])
-        parts = spec.draw_factors(Ensemble("phase-ascent", seed=5), 0)
+        parts = spec.draw_factors(Ensemble("phase-ascent", seed=5))
         for part, factor in zip(parts, spec.factors):
             assert _as_table(part) == {n: 1.0 for n in factor.frequency_set().elements}
 
@@ -330,21 +327,80 @@ class TestPhaseAscent:
         spec = PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(ratio, 8).terms)))
         best = lambda_p_ratio(spec, p, Ensemble("phase-ascent"))
         ens = Ensemble("steinhaus", seed=seed, trials=4)
-        for t in range(ens.member_count()):
-            assert even_p_ratio(_as_table(spec.draw(ens, t)), p) <= best * (1 + 1e-12)
+        draw = spec.draw(ens)
+        for t in range(ens.trials):
+            assert even_p_ratio(_as_table(draw, t), p) <= best * (1 + 1e-12)
+
+
+class TestDraws:
+    """A draw is the whole ensemble: row t is member t, drawn from default_rng([seed, t])."""
+
+    @staticmethod
+    def _alone(kind, seed, t, size):
+        rng = np.random.default_rng([seed, t])
+        if kind == "random-signs":
+            return rng.choice(np.array([-1.0 + 0j, 1.0 + 0j]), size=size)
+        return np.exp(2j * np.pi * rng.random(size))
+
+    @pytest.mark.parametrize("kind", ["random-signs", "steinhaus"])
+    def test_plain_rows_are_the_members_drawn_alone(self, kind):
+        spec = PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 8).terms)))
+        freqs, V = spec.draw(Ensemble(kind, seed=12, trials=5))
+        assert V.shape == (5, 8)
+        for t, row in enumerate(V):
+            assert np.array_equal(row, self._alone(kind, 12, t, 8))
+
+    @pytest.mark.parametrize("kind", ["random-signs", "steinhaus"])
+    def test_tensor_axis_rows_are_the_members_drawn_alone(self, kind):
+        spec = TensorSpectrum([PlainSpectrum(FrequencySet(1, frozenset([1, 2, 4]))),
+                               PlainSpectrum(FrequencySet(1, frozenset([1, 3, 9, 27])))])
+        for a, (freqs, V) in enumerate(spec.draw_factors(Ensemble(kind, seed=4, trials=3))):
+            assert V.shape == (3, len(freqs))
+            for t, row in enumerate(V):
+                assert np.array_equal(row, self._alone(kind, 4 + 7919 * (a + 1), t, len(freqs)))
+
+    @pytest.mark.parametrize("kind", ["flat", "phase-ascent"])
+    def test_deterministic_kinds_draw_one_row(self, kind):
+        spec = PlainSpectrum(FrequencySet(1, frozenset([1, 2, 4])))
+        freqs, V = spec.draw(Ensemble(kind, trials=5))
+        assert np.array_equal(V, np.ones((1, 3)))
+
+    @pytest.mark.parametrize("kind", ["random-signs", "steinhaus", "flat"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sumset_rows_sum_every_tuple_and_sign_pattern(self, kind, k):
+        # ratio 2 makes many sums collide, and some collisions cancel to 0
+        base = geometric_lacunary(2, 7)
+        spec = SumsetSpectrum(base, k, cap=512)
+        freqs, V = spec.draw(Ensemble(kind, seed=21, trials=3))
+        terms = base.terms[:spec.used_terms]
+        assert V.shape == (1 if kind == "flat" else 3, len(freqs))
+        for t, row in enumerate(V):
+            eps = ([1.0] * len(terms) if kind == "flat"
+                   else self._alone(kind, 21, t, len(terms)).tolist())
+            want = dict.fromkeys(freqs.tolist(), 0)
+            for tup in combinations(range(len(terms)), k):
+                amp = math.prod(eps[i] for i in tup)
+                for signs in product((1, -1), repeat=k):
+                    want[sum(s * terms[i] for s, i in zip(signs, tup))] += amp
+            got = dict(zip(freqs.tolist(), row.tolist()))
+            if kind == "steinhaus":
+                # numpy's complex products may round differently from Python's
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+            else:
+                assert got == want
 
 
 class CountingSpectrum(PlainSpectrum):
-    """A plain spectrum that counts its draws per (kind, seed, trial)."""
+    """A plain spectrum that counts its draws per (kind, seed)."""
 
     def __init__(self, freqs):
         super().__init__(freqs)
         self.draws = {}
 
-    def draw(self, ensemble, trial):
-        key = (ensemble.kind, ensemble.seed, trial)
+    def draw(self, ensemble):
+        key = (ensemble.kind, ensemble.seed)
         self.draws[key] = self.draws.get(key, 0) + 1
-        return super().draw(ensemble, trial)
+        return super().draw(ensemble)
 
 
 class TestMomentRoutine:
@@ -353,14 +409,14 @@ class TestMomentRoutine:
         lam = geometric_lacunary(2, 6)
         if which == "plain":
             return _as_table(PlainSpectrum(FrequencySet(1, frozenset(lam.terms))).draw(
-                Ensemble("steinhaus", seed=3), 0))
+                Ensemble("steinhaus", seed=3)))
         if which == "sumset":
-            return _as_table(SumsetSpectrum(lam, 2).draw(Ensemble("random-signs", seed=4), 0))
+            return _as_table(SumsetSpectrum(lam, 2).draw(Ensemble("random-signs", seed=4)))
         # one-sided and shifted spectra, whose span grids are 2-4x smaller
         # than their degree grids
         if which == "lacunary":
             return _as_table(PlainSpectrum(FrequencySet(1, frozenset(
-                geometric_lacunary(2, 8).terms))).draw(Ensemble("steinhaus", seed=3), 0))
+                geometric_lacunary(2, 8).terms))).draw(Ensemble("steinhaus", seed=3)))
         if which == "shifted":
             return {1000: 1.0, 1003: 0.5j, 1009: -1.0}
         if which == "negative":
@@ -403,31 +459,34 @@ class TestMomentRoutine:
             assert r == pytest.approx(max(lambda_p_ratio(spec, p, e) for e in ens), rel=1e-12)
 
     def test_growth_exponent_draws_each_member_once(self):
+        # each ensemble is drawn once, as one stack of its members
         spec = CountingSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 6).terms)))
         growth_exponent(spec, P_GRID, [Ensemble("random-signs", seed=1, trials=5),
                                        Ensemble("phase-ascent")])
-        assert len(spec.draws) == 6 and set(spec.draws.values()) == {1}
+        assert spec.draws == {("random-signs", 1): 1, ("phase-ascent", 0): 1}
 
     def test_tensor_growth_draws_each_member_once(self):
         a = CountingSpectrum(FrequencySet(1, frozenset([1, 2, 4, 8])))
         b = CountingSpectrum(FrequencySet(1, frozenset([1, 3, 9])))
         tensor_growth([a, b], P_GRID, [Ensemble("random-signs", seed=2, trials=4),
                                        Ensemble("phase-ascent")])
-        for factor in (a, b):
-            assert len(factor.draws) == 5 and set(factor.draws.values()) == {1}
+        for axis, factor in enumerate((a, b)):
+            seed = 7919 * (axis + 1)
+            assert factor.draws == {("random-signs", 2 + seed): 1, ("phase-ascent", seed): 1}
 
     def test_lambda_p_cli_draws_each_member_once(self, monkeypatch, capsys):
-        counts = {}
+        shapes = []
         draw = PlainSpectrum.draw
 
-        def counting(self, ensemble, trial):
-            counts[trial] = counts.get(trial, 0) + 1
-            return draw(self, ensemble, trial)
+        def counting(self, ensemble):
+            freqs, V = draw(self, ensemble)
+            shapes.append(V.shape)
+            return freqs, V
 
         monkeypatch.setattr(PlainSpectrum, "draw", counting)
         assert main(["lambda-p", "--trials", "6", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(P_GRID)
-        assert counts == {t: 1 for t in range(6)}
+        assert shapes == [(6, 8)]
 
 
 class TestBatchedReader:
@@ -437,10 +496,6 @@ class TestBatchedReader:
     def _per_row(freqs, V, p_grid=P_GRID):
         return np.concatenate([_moment_ratios(freqs, V[i:i + 1], p_grid) for i in range(len(V))])
 
-    @staticmethod
-    def _stack(draws):
-        return draws[0][0], np.stack([v for _, v in draws])
-
     @pytest.mark.parametrize("spectrum", [
         PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 6).terms))),
         SumsetSpectrum(geometric_lacunary(2, 6), 2),
@@ -449,17 +504,15 @@ class TestBatchedReader:
     @pytest.mark.parametrize("ensemble", [Ensemble("random-signs", seed=5, trials=6),
                                           Ensemble("steinhaus", seed=6, trials=6)])
     def test_ensembles(self, spectrum, ensemble):
-        freqs, V = self._stack([spectrum.draw(ensemble, t) for t in range(ensemble.trials)])
+        freqs, V = spectrum.draw(ensemble)
         assert np.array_equal(_moment_ratios(freqs, V, P_GRID), self._per_row(freqs, V))
 
     def test_tensor_ensemble(self):
         spec = TensorSpectrum([SumsetSpectrum(geometric_lacunary(2, 5), 2),
                                PlainSpectrum(FrequencySet(1, frozenset([1, 3, 9])))])
         ens = Ensemble("steinhaus", seed=7, trials=5)
-        members = [spec.draw_factors(ens, t) for t in range(ens.trials)]
         per_member = np.ones((ens.trials, len(P_GRID)))
-        for axis in zip(*members):
-            freqs, V = self._stack(axis)
+        for freqs, V in spec.draw_factors(ens):
             batched = _moment_ratios(freqs, V, P_GRID)
             assert np.array_equal(batched, self._per_row(freqs, V))
             per_member *= batched
@@ -480,6 +533,6 @@ class TestBatchedReader:
     def test_ensemble_larger_than_a_chunk(self):
         spec = PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 8).terms)))
         ens = Ensemble("steinhaus", seed=8, trials=40)
-        freqs, V = self._stack([spec.draw(ens, t) for t in range(ens.trials)])
+        freqs, V = spec.draw(ens)
         assert 0 < growth._CHUNK_POINTS // grid_size(127, 32) < len(V)
         assert np.array_equal(_moment_ratios(freqs, V, P_GRID), self._per_row(freqs, V))

@@ -12,13 +12,24 @@ from paleyzyg import (CompactSignal, PaleyMeasure, fourier_transform, low_block_
                       paley_sup, product_paley_sup_2d, raised_cosine_bump,
                       random_mean_zero_corpus, rudin_counterexample, square_function_norm,
                       zygmund_realline_probe)
-from paleyzyg.realline import _dual_grid, _dual_inverse, default_k_range
+from paleyzyg.realline import default_k_range
 
 
 def gaussian_signal(L=8.0, M=2048, sigma=0.5):
     h = 2 * L / M
     x = -L + h * np.arange(M)
     return CompactSignal(np.exp(-x ** 2 / (2 * sigma ** 2)).astype(complex), L)
+
+
+def block_signal(k, decay, L=8.0, M=2048):
+    """The signal on [-L, L) whose transform on the dual grid xi_m = m/(2L)
+    is exp(-|xi| / decay) on 1.5 * 2^k <= |xi| <= 2^(k+1) and 0 elsewhere.
+    There f_hat(xi_m) = h (-1)^m fft(f)_m, so f = ifft((-1)^m f_hat) / h."""
+    m = np.fft.fftfreq(M, d=1.0 / M)
+    xi = m / (2 * L)
+    hat = np.where((np.abs(xi) >= 1.5 * 2 ** k) & (np.abs(xi) <= 2.0 ** (k + 1)),
+                   np.exp(-np.abs(xi) / decay), 0.0)
+    return CompactSignal(np.fft.ifft((-1.0) ** m * hat) / (2 * L / M), L)
 
 
 class TestTransform:
@@ -99,12 +110,8 @@ class TestTransform:
 
 class TestBlocks:
     def test_block_of_band_limited_signal_is_identity(self):
-        s = gaussian_signal(L=8.0, M=2048)
         k = 2
-        _, xi, fhat = _dual_grid(s)
-        hat = np.where((np.abs(xi) >= 1.5 * 2 ** k) & (np.abs(xi) <= 2.0 ** (k + 1)),
-                       np.exp(-np.abs(xi)), 0.0)
-        f = _dual_inverse(s, hat)
+        f = block_signal(k, 1.0)
         g = lp_block(f, k)
         scale = np.abs(f.values).max()
         assert np.abs(g.values - f.values).max() <= 1e-10 * scale
@@ -123,12 +130,8 @@ class TestBlocks:
         assert square_function_norm(s, (-2, 0)) == 0.0
 
     def test_square_function_single_block(self):
-        s = gaussian_signal(L=8.0, M=2048)
         k = 2
-        _, xi, fhat = _dual_grid(s)
-        hat = np.where((np.abs(xi) >= 1.5 * 2 ** k) & (np.abs(xi) <= 2.0 ** (k + 1)),
-                       np.exp(-np.abs(xi) / 8), 0.0)
-        f = _dual_inverse(s, hat)
+        f = block_signal(k, 8.0)
         assert square_function_norm(f, (k - 3, k + 1)) >= f.l1() * 0.9
 
     def test_square_function_stable_under_widening(self):
@@ -182,12 +185,8 @@ class TestProbe:
         assert rep.max_ratio == 0.0
 
     def test_single_atom_single_block(self):
-        s0 = gaussian_signal(L=8.0, M=2048)
         k = 2
-        _, xi, fhat = _dual_grid(s0)
-        hat = np.where((np.abs(xi) >= 1.5 * 2 ** k) & (np.abs(xi) <= 2.0 ** (k + 1)),
-                       np.exp(-np.abs(xi) / 8), 0.0)
-        f = _dual_inverse(s0, hat)
+        f = block_signal(k, 8.0)
         mu = PaleyMeasure.from_atoms([(1.5 * 2.0 ** k + 0.25, 1.0)])
         rep = paley_inequality_probe(mu, [f])
         assert rep.max_ratio <= 1.0 + 0.05
@@ -315,12 +314,8 @@ class TestLineZygmund:
         assert rep.ratio == 0.0
 
     def test_single_block_single_atom_bound(self):
-        s0 = gaussian_signal(L=8.0, M=2048)
         k = 2
-        _, xi, fh = _dual_grid(s0)
-        hat = np.where((np.abs(xi) >= 1.5 * 2 ** k) & (np.abs(xi) <= 2.0 ** (k + 1)),
-                       np.exp(-np.abs(xi) / 8), 0.0)
-        f = _dual_inverse(s0, hat)
+        f = block_signal(k, 8.0)
         w = 2.5
         mu = PaleyMeasure.from_atoms([(1.5 * 2.0 ** k, w)], gap=1.0)
         rep = zygmund_realline_probe(mu, f)
