@@ -143,6 +143,9 @@ def cmd_sharpness(args):
 def cmd_ingham(args):
     if args.m_max < args.m_min:
         raise ValueError(f"--m-max must be >= --m-min, got {args.m_min}..{args.m_max}")
+    if args.m_max == args.m_min:
+        raise ValueError(f"need at least 2 values of k to compare tails, "
+                         f"got {args.m_min}..{args.m_max}")
     rows = []
     prev = None
     monotone = True

@@ -155,9 +155,11 @@ class TestExitCodes:
          "need at least 3 distinct p values for a slope fit, got (4, 4, 4)"),
         (("zygmund-ratio",), "nothing to read: give --vp or --corpus >= 1"),
         (("zygmund-ratio", "--vp", "3", "--corpus", "-3"), "--corpus must be >= 0, got -3"),
-        (("ingham", "--m-min", "12", "--m-max", "10"), "--m-max must be >= --m-min, got 12..10")])
+        (("ingham", "--m-min", "12", "--m-max", "10"), "--m-max must be >= --m-min, got 12..10"),
+        (("ingham", "--m-min", "10", "--m-max", "10"),
+         "need at least 2 values of k to compare tails, got 10..10")])
     def test_degenerate_or_empty_request_rejected(self, capsys, argv, message):
-        # one N, no N, one distinct p, no polynomial or no M: nothing to fit or report
+        # one N, no N, one distinct p, no polynomial, no M or one M: nothing to fit or report
         assert main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

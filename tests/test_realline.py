@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paleyzyg import _kernels
+from paleyzyg import _kernels, realline, window
 from paleyzyg import (CompactSignal, PaleyMeasure, fourier_transform, low_block_divergence,
                       lp_block, mean_zero_reduction, mu_l2_sq, paley_inequality_probe,
                       paley_sup, product_paley_sup_2d, raised_cosine_bump,
@@ -30,6 +30,13 @@ def block_signal(k, decay, L=8.0, M=2048):
     hat = np.where((np.abs(xi) >= 1.5 * 2 ** k) & (np.abs(xi) <= 2.0 ** (k + 1)),
                    np.exp(-np.abs(xi) / decay), 0.0)
     return CompactSignal(np.fft.ifft((-1.0) ** m * hat) / (2 * L / M), L)
+
+
+def uncached_mu_l2_sq(mu, s, k_range):
+    """mu_l2_sq with every node through fourier_transform, as atoms go."""
+    xs, ws = mu._nodes(k_range)
+    fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
+    return realline._sum_by_block(ws * np.abs(fhat) ** 2)
 
 
 class TestTransform:
@@ -161,6 +168,19 @@ class TestPaleyMeasure:
             assert mu.block_mass(k) == pytest.approx(2 * math.log(2), abs=1e-10)
         assert paley_sup(mu, (-20, 10)).sup == pytest.approx(2 * math.log(2), abs=1e-10)
 
+    def test_block_masses_match_block_mass(self):
+        # block edges at powers of two, both signs, a zero atom (in no block,
+        # also where 2^k underflows to 0), a zero weight, the smallest
+        # subnormal, a block holding two atoms, and ranges holding no atom
+        atoms = [(1.5 * 2.0 ** k, 0.1 * (k + 21)) for k in range(-20, 30, 3)]
+        atoms += [(2.0, 0.3), (-2.0, 0.2), (-3.999, 0.7), (4.0, 0.5), (0.0, 1.0),
+                  (5.0, 0.0), (5e-324, 2.0), (-0.3, 0.1), (0.35, 0.7)]
+        for mu in (PaleyMeasure.from_atoms(atoms), PaleyMeasure.from_atoms([]),
+                   PaleyMeasure.inverse_abs(-5, 5)):
+            for k_lo, k_hi in ((-25, 35), (0, 0), (3, 2), (-1080, -1070), (-1080, -1076)):
+                want = [mu.block_mass(k) for k in range(k_lo, k_hi + 1)]
+                assert repr(mu.block_masses(k_lo, k_hi)) == repr(want)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             PaleyMeasure.from_atoms([(1.0, -2.0)])
@@ -236,6 +256,60 @@ class TestProbe:
         bad = raised_cosine_bump(4.0, 2048)
         with pytest.raises(ValueError, match="mean-zero"):
             paley_inequality_probe(mu, [bad])
+
+
+class TestBlockTables:
+    """Density blocks read cached phase tables; each value must equal the
+    transform computed afresh at the same nodes, bit for bit."""
+
+    @pytest.mark.parametrize("k_range", [(-10, 4), (-2, 4), (-10, -10), (-3, -3), (0, 0), (4, 4)])
+    def test_cached_equals_uncached_on_corpus(self, k_range):
+        mu = PaleyMeasure.inverse_abs(-10, 4)
+        for s in random_mean_zero_corpus(4):
+            assert mu_l2_sq(mu, s, k_range) == uncached_mu_l2_sq(mu, s, k_range)
+
+    def test_user_density(self):
+        mu = PaleyMeasure.from_density(lambda xi: np.exp(-xi) + xi ** 2, -4, 3, name="user")
+        for s in random_mean_zero_corpus(3, seed=2):
+            for k_range in (None, (-6, 1), (-1, -1)):
+                assert mu_l2_sq(mu, s, k_range) == uncached_mu_l2_sq(mu, s, k_range)
+
+    def test_windows_sharing_a_block_do_not_collide(self):
+        # the same samples on two half-widths, and a window with half the samples
+        realline._half_block_tables.cache_clear()
+        mu = PaleyMeasure.inverse_abs(-1, 1)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+        signals = [CompactSignal(values, 4.0), CompactSignal(values, 3.0),
+                   CompactSignal(values[::2], 4.0), CompactSignal(values, 4.0)]
+        got = [mu_l2_sq(mu, s) for s in signals]
+        assert got == [uncached_mu_l2_sq(mu, s, None) for s in signals]
+        assert got[0] != got[1]
+        assert realline._half_block_tables.cache_info().currsize == 9
+
+    def test_range_longer_than_the_cache(self):
+        realline._half_block_tables.cache_clear()
+        size = realline._half_block_tables.cache_info().maxsize
+        mu = PaleyMeasure.inverse_abs(-size - 8, 4)
+        s = random_mean_zero_corpus(1)[0]
+        want = uncached_mu_l2_sq(mu, s, None)
+        assert mu_l2_sq(mu, s) == want
+        assert mu_l2_sq(mu, s) == want
+        info = realline._half_block_tables.cache_info()
+        assert info.currsize == size and info.misses == 2 * (size + 13)
+
+    @pytest.mark.parametrize("k_range", [(-10, 4), (-2, 4), (-6, -4), (-12, -5)])
+    def test_square_function_is_the_sum_of_its_blocks(self, k_range):
+        # blocks -12..-5 hold no dual-grid point m/8 of the L = 4 corpus, and
+        # block -4 holds only m = +-1
+        for s in random_mean_zero_corpus(3):
+            xi, dft = np.fft.fftfreq(s.size, d=s.h), np.fft.fft(s.values)
+            acc = np.zeros(s.size)
+            for k in range(k_range[0], k_range[1] + 1):
+                block = lp_block(s, k).values
+                assert np.array_equal(block, np.fft.ifft(window.eta_scaled(xi, k) * dft))
+                acc += np.abs(block) ** 2
+            assert square_function_norm(s, k_range) == float(s.h * np.sum(np.sqrt(acc)))
 
 
 class TestMeanZero:
