@@ -24,17 +24,18 @@ int |f_hat|^2 dmu and the witness integrals all sum over the nodes of
 ``PaleyMeasure._nodes``, block by block.  The nodes of density block k are
 the same for every density, so the phase tables of the factored sum at them
 depend on (k, h, M) alone and are cached (``_half_block_tables``, positive
-nodes only: at -xi the exponentials are their conjugates, bit for bit).
+nodes only: |f_hat(-xi)| is |f_hat| of conj(f) at xi).
 Atom integrals build their tables afresh.  Both run ``_factored_sum``, so a
-density block gives the bits ``fourier_transform`` gives at its nodes
-(checked at M = 2^8 to 2^15).  For the |xi|^-1
+density block gives the |f_hat| bits ``fourier_transform`` gives at its
+nodes (checked at M = 2^8 to 2^15).  For the |xi|^-1
 density the quadrature is off by at most 1.14e-7 relative on the first 20
 criterion-9 signals (blocks -10..4 and -2..4), measured against the exact
 h^2 sum_l r(l) mu_hat(l h), r the sample autocorrelation.
 """
 
-import functools
+import collections
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,20 +105,25 @@ def _phase_tables(h, half_width, B, A, freqs):
 
 def _split(M):
     """(B, A, rows): the sample index split j = B a + b, and the frequency
-    rows per pass, which keep each temporary at 128 KB, in cache."""
+    rows per pass, which keep each temporary at 128 KB per signal, in cache."""
     B = 1 << (M.bit_length() - 1) // 2
     A = M // B
     return B, A, max(1, (1 << 13) // A)
 
 
-def _factored_sum(s: CompactSignal, tables) -> np.ndarray:
-    """f_hat of s at the frequencies of the _phase_tables rows, one
-    (rows x B) @ (B x A) product per pass."""
-    B, A, rows = _split(s.size)
-    samples = s.values.reshape(A, B).T
-    return tables[:, -1] * np.concatenate([
-        np.sum(tables[i:i + rows, B:-1] * (tables[i:i + rows, :B] @ samples), axis=1)
-        for i in range(0, tables.shape[0], rows)])
+def _factored_sum(values, tables) -> np.ndarray:
+    """f_hat at the frequencies of the _phase_tables rows for each row of
+    values, an (n, M) stack of samples: an (n, rows) array, from one
+    (rows x B) @ (B x n A) product per pass of _split(M) rows."""
+    n, M = values.shape
+    B, A, rows = _split(M)
+    samples = values.reshape(n * A, B).T
+    out = np.empty((n, tables.shape[0]), dtype=np.complex128)
+    for i in range(0, tables.shape[0], rows):
+        t = tables[i:i + rows]
+        inner = (t[:, :B] @ samples).reshape(-1, n, A)
+        out[:, i:i + rows] = (t[:, -1:] * np.sum(t[:, None, B:-1] * inner, axis=2)).T
+    return out
 
 
 def _check_band(s: CompactSignal, freqs):
@@ -137,30 +143,38 @@ def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
     total = np.empty(freqs.shape, dtype=np.complex128)
     for start in range(0, freqs.size, rows):
         tables = _phase_tables(s.h, s.half_width, B, A, freqs[start:start + rows])
-        total[start:start + rows] = _factored_sum(s, tables)
+        total[start:start + rows] = _factored_sum(s.values[None], tables)[0]
     return total
 
 
-@functools.lru_cache(maxsize=32)
+# Phase tables kept by _half_block_tables, least recently used first, the
+# lock that keeps their order whole across threads, and the most bytes they
+# may hold at any M.
+_cached_tables = collections.OrderedDict()
+_cached_tables_lock = threading.Lock()
+_TABLE_BYTES = 1 << 23
+
+
 def _half_block_tables(k, h, M):
     """_phase_tables at the positive nodes of density block k, for the
-    window of spacing h and M samples: 64 (A + B + 1) complex numbers, 97 KB
-    at M = 2048.  32 entries hold every block of a range up to 32 blocks long,
-    so a probe run over one k range builds each table once."""
-    B, A, _ = _split(M)
-    tables = _phase_tables(h, 0.5 * h * M, B, A, _block_points(k)[0])
-    tables.setflags(write=False)
-    return tables
-
-
-def _block_tables(s: CompactSignal, k):
-    """_phase_tables at the block_nodes of block k, positive then negative.
-    The negative rows are the conjugates of the cached positive ones, which
-    is bit for bit what the exponentials give at -xi."""
-    half = _half_block_tables(k, s.h, s.size)
-    tables = np.concatenate([half, half])
-    np.conjugate(half, out=tables[half.shape[0]:])
-    return tables
+    window of spacing h and M samples, read-only.  An entry holds
+    64 (A + B + 1) complex numbers: 97 KB at M = 2048, 385 KB at M = 2^15,
+    2.0 MB at M = 2^20.  Least recently used entries go once the cache holds
+    more than _TABLE_BYTES (8 MiB: 84 blocks at M = 2048, 21 at M = 2^15,
+    3 at M = 2^20), so a probe run over one k range of up to that many
+    blocks builds each table once."""
+    key = (k, h, M)
+    with _cached_tables_lock:
+        if key in _cached_tables:
+            _cached_tables.move_to_end(key)
+            return _cached_tables[key]
+        B, A, _ = _split(M)
+        tables = _phase_tables(h, 0.5 * h * M, B, A, _block_points(k)[0])
+        tables.setflags(write=False)
+        _cached_tables[key] = tables
+        while sum(t.nbytes for t in _cached_tables.values()) > _TABLE_BYTES:
+            _cached_tables.popitem(last=False)
+        return tables
 
 
 def _dual_grid(s: CompactSignal):
@@ -275,41 +289,43 @@ class PaleyMeasure:
             return range(self.k_min, self.k_max + 1)
         return range(max(int(k_range[0]), self.k_min), min(int(k_range[1]), self.k_max) + 1)
 
-    def _positive_atoms(self):
-        return np.array([a for a in self.atoms if a[1] > 0]).reshape(-1, 2)
+    def _atom_nodes(self, k_range):
+        """The atoms of positive weight as an (atoms, 2) array, in order;
+        with a k_range, only those in its signed blocks +-[2^k, 2^{k+1}),
+        and also the block of each: the exponent of np.frexp(|xi|) less one.
+        An atom at 0 is in no block."""
+        nodes = np.array([a for a in self.atoms if a[1] > 0]).reshape(-1, 2)
+        if k_range is None:
+            return nodes, None
+        ks = np.frexp(np.abs(nodes[:, 0]))[1] - 1
+        keep = (nodes[:, 0] != 0) & (int(k_range[0]) <= ks) & (ks <= int(k_range[1]))
+        return nodes[keep], ks[keep]
 
     def _nodes(self, k_range):
         """(xs, ws) as (blocks, nodes) arrays: the block_nodes of each density
-        block of k_range, one row per block, or the atoms of positive weight
-        in the signed blocks +-[2^k, 2^{k+1}) of k_range, one row per atom;
-        k_range=None keeps every density block and every atom."""
+        block of k_range, one row per block, or the _atom_nodes of k_range,
+        one row per atom; k_range=None keeps every density block and every
+        atom."""
         if self.kind == "atoms":
-            nodes = self._positive_atoms()
-            if k_range is not None:
-                a = np.abs(nodes[:, 0])
-                # a > 0: below k = -1074 the edges 2^k underflow to 0
-                nodes = nodes[(0 < a) & (2.0 ** int(k_range[0]) <= a)
-                              & (a < 2.0 ** (int(k_range[1]) + 1))]
+            nodes = self._atom_nodes(k_range)[0]
             return nodes[:, :1], nodes[:, 1:]
         nodes = [self.block_nodes(k) for k in self._density_blocks(k_range)]
         blocks = np.array(nodes).reshape(-1, 2, 2 * _GL_NODES)
         return blocks[:, 0], blocks[:, 1]
 
     def block_mass(self, k):
-        return _sum_by_block(self._nodes((k, k))[1])
+        return self.block_masses(k, k)[0]
 
     def block_masses(self, k_lo, k_hi):
-        """[block_mass(k) for k in k_lo..k_hi].  Atoms take one pass: the
-        block of |xi| is the exponent of np.frexp less one, and each block
-        sums its weights in atom order from 0.0, as _sum_by_block does."""
+        """The mass of each signed block k_lo..k_hi.  Atoms take one pass:
+        each block sums its weights in atom order from 0.0, as _sum_by_block
+        does."""
         k_lo, k_hi = int(k_lo), int(k_hi)
         if self.kind != "atoms":
-            return [self.block_mass(k) for k in range(k_lo, k_hi + 1)]
-        nodes = self._positive_atoms()
-        ks = np.frexp(np.abs(nodes[:, 0]))[1] - 1
-        keep = (nodes[:, 0] != 0) & (k_lo <= ks) & (ks <= k_hi)
+            return [_sum_by_block(self._nodes((k, k))[1]) for k in range(k_lo, k_hi + 1)]
+        nodes, ks = self._atom_nodes((k_lo, k_hi))
         masses = np.zeros(max(0, k_hi - k_lo + 1))
-        np.add.at(masses, ks[keep] - k_lo, nodes[keep, 1])
+        np.add.at(masses, ks - k_lo, nodes[:, 1])
         return masses.tolist()
 
 
@@ -345,7 +361,7 @@ def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
     """int |f_hat|^2 dmu over the blocks in range: f_hat at the nodes of
     PaleyMeasure._nodes, which are exact atom evaluations or per-block
     quadrature for densities; density blocks read the cached phase tables
-    of _block_tables.  An atom counts when its signed block
+    of _half_block_tables.  An atom counts when its signed block
     +-[2^k, 2^{k+1}) is in range, as in block_mass; k_range=None keeps
     every atom."""
     xs, ws = mu._nodes(k_range)
@@ -353,7 +369,10 @@ def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
         fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
     else:
         _check_band(s, xs)
-        fhat = np.array([_factored_sum(s, _block_tables(s, k))
+        # |f_hat(-xi)| is |f_hat| of conj(f) at xi, so the positive nodes'
+        # tables serve both halves of a block
+        both = np.stack([s.values, s.values.conj()])
+        fhat = np.array([_factored_sum(both, _half_block_tables(k, s.h, s.size))
                          for k in mu._density_blocks(k_range)]).reshape(xs.shape)
     return _sum_by_block(ws * np.abs(fhat) ** 2)
 

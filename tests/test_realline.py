@@ -1,6 +1,8 @@
 """Compact signals, dyadic blocks, Paley measures, and the line harnesses."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -168,18 +170,30 @@ class TestPaleyMeasure:
             assert mu.block_mass(k) == pytest.approx(2 * math.log(2), abs=1e-10)
         assert paley_sup(mu, (-20, 10)).sup == pytest.approx(2 * math.log(2), abs=1e-10)
 
-    def test_block_masses_match_block_mass(self):
+    def test_block_masses_follow_the_dyadic_edges(self):
         # block edges at powers of two, both signs, a zero atom (in no block,
         # also where 2^k underflows to 0), a zero weight, the smallest
-        # subnormal, a block holding two atoms, and ranges holding no atom
+        # subnormal, a block holding two atoms, and ranges holding no atom;
+        # masses sum in atom order from 0.0, compared by repr (0 and 0.0 differ)
         atoms = [(1.5 * 2.0 ** k, 0.1 * (k + 21)) for k in range(-20, 30, 3)]
         atoms += [(2.0, 0.3), (-2.0, 0.2), (-3.999, 0.7), (4.0, 0.5), (0.0, 1.0),
                   (5.0, 0.0), (5e-324, 2.0), (-0.3, 0.1), (0.35, 0.7)]
-        for mu in (PaleyMeasure.from_atoms(atoms), PaleyMeasure.from_atoms([]),
-                   PaleyMeasure.inverse_abs(-5, 5)):
-            for k_lo, k_hi in ((-25, 35), (0, 0), (3, 2), (-1080, -1070), (-1080, -1076)):
-                want = [mu.block_mass(k) for k in range(k_lo, k_hi + 1)]
-                assert repr(mu.block_masses(k_lo, k_hi)) == repr(want)
+
+        def mass(k):
+            total = 0.0
+            for xi, w in atoms:
+                if w > 0 and xi != 0 and 2.0 ** k <= abs(xi) < 2.0 ** (k + 1):
+                    total += w
+            return total
+
+        mu = PaleyMeasure.from_atoms(atoms)
+        for k_lo, k_hi in ((-25, 35), (0, 0), (3, 2), (-1080, -1070), (-1080, -1076)):
+            want = [mass(k) for k in range(k_lo, k_hi + 1)]
+            assert repr(mu.block_masses(k_lo, k_hi)) == repr(want)
+            assert repr([mu.block_mass(k) for k in range(k_lo, k_hi + 1)]) == repr(want)
+        assert PaleyMeasure.from_atoms([]).block_masses(-3, 2) == [0.0] * 6
+        dens = PaleyMeasure.inverse_abs(-5, 5)
+        assert dens.block_masses(-7, 7) == [dens.block_mass(k) for k in range(-7, 8)]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -276,7 +290,7 @@ class TestBlockTables:
 
     def test_windows_sharing_a_block_do_not_collide(self):
         # the same samples on two half-widths, and a window with half the samples
-        realline._half_block_tables.cache_clear()
+        realline._cached_tables.clear()
         mu = PaleyMeasure.inverse_abs(-1, 1)
         rng = np.random.default_rng(3)
         values = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
@@ -285,18 +299,74 @@ class TestBlockTables:
         got = [mu_l2_sq(mu, s) for s in signals]
         assert got == [uncached_mu_l2_sq(mu, s, None) for s in signals]
         assert got[0] != got[1]
-        assert realline._half_block_tables.cache_info().currsize == 9
+        assert len(realline._cached_tables) == 9
 
-    def test_range_longer_than_the_cache(self):
-        realline._half_block_tables.cache_clear()
-        size = realline._half_block_tables.cache_info().maxsize
-        mu = PaleyMeasure.inverse_abs(-size - 8, 4)
+    def test_range_longer_than_the_cache(self, monkeypatch):
+        # a budget of 5 blocks against a range of 13: each pass builds every table
+        realline._cached_tables.clear()
+        mu = PaleyMeasure.inverse_abs(-8, 4)
         s = random_mean_zero_corpus(1)[0]
+        builds = []
+        build = realline._phase_tables
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(realline, "_phase_tables", counted)
+        monkeypatch.setattr(realline, "_TABLE_BYTES",
+                            5 * realline._half_block_tables(0, s.h, s.size).nbytes)
+        realline._cached_tables.clear()
+        builds.clear()
         want = uncached_mu_l2_sq(mu, s, None)
+        builds.clear()
         assert mu_l2_sq(mu, s) == want
         assert mu_l2_sq(mu, s) == want
-        info = realline._half_block_tables.cache_info()
-        assert info.currsize == size and info.misses == 2 * (size + 13)
+        assert len(builds) == 2 * 13
+        assert list(realline._cached_tables) == [(k, s.h, s.size) for k in range(0, 5)]
+        # a hit makes its entry the most recent one: block 1 goes next, not 0
+        mu_l2_sq(PaleyMeasure.inverse_abs(0, 0), s)
+        mu_l2_sq(PaleyMeasure.inverse_abs(-8, -8), s)
+        assert list(realline._cached_tables) == [(k, s.h, s.size) for k in (2, 3, 4, 0, -8)]
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # more threads than cores on a 3-block budget, so that hits, builds
+        # and evictions interleave; each thread must read the serial values
+        monkeypatch.setattr(realline, "_TABLE_BYTES", 3 * 64 * 97 * 16)
+        corpus = random_mean_zero_corpus(4)
+        mus = [PaleyMeasure.inverse_abs(-6, 4), PaleyMeasure.inverse_abs(-2, 1)]
+        want = [mu_l2_sq(mu, s) for mu in mus for s in corpus]
+        got, errors = [], []
+
+        def work():
+            try:
+                for _ in range(5):
+                    got.append([mu_l2_sq(mu, s) for mu in mus for s in corpus])
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and got == [want] * 40
+        realline._cached_tables.clear()
+
+    def test_cache_bytes_are_bounded_at_any_size(self):
+        realline._cached_tables.clear()
+        s = CompactSignal(np.exp(-np.linspace(-4, 4, 1 << 15, endpoint=False) ** 2), 4.0)
+        mu_l2_sq(PaleyMeasure.inverse_abs(-30, 8), s)
+        held = [t.nbytes for t in realline._cached_tables.values()]
+        assert held[0] == 64 * (128 + 256 + 1) * 16
+        assert sum(held) <= realline._TABLE_BYTES < sum(held) + held[0]
+        realline._cached_tables.clear()
 
     @pytest.mark.parametrize("k_range", [(-10, 4), (-2, 4), (-6, -4), (-12, -5)])
     def test_square_function_is_the_sum_of_its_blocks(self, k_range):
