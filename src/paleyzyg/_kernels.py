@@ -1,5 +1,7 @@
 """Hot numeric kernels, in numpy."""
 
+import math
+
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
@@ -29,15 +31,26 @@ def nudft(values, points, freqs):
     return out
 
 
-def min_sup_phase(base_vals, char_vals, phases, cand=None, mags=None):
+def min_sup_phase(base_vals, char_vals, phases, sq=None):
     """Among candidate phases, minimise sup |base + phase*char|.
 
-    cand (complex) and mags (real), both (len(phases), len(base_vals)), are
-    optional buffers for the candidates and their moduli, for callers that
-    call in a loop.  Returns (best_index, best_sup).
+    In real arithmetic: |b + phi c|^2 = 2 Re(phi) Re(c conj b) -
+    2 Im(phi) Im(c conj b) + |b|^2 + |c|^2, so the squared moduli of all
+    candidates are one (phases, 3) @ (3, M) real product, and only the
+    winner's square root is taken.  sq, a float (len(phases), M) array, is
+    an optional buffer for those squared moduli, for callers that call in a
+    loop.  Returns (best_index, best_sup).
     """
-    cand = np.multiply.outer(phases, char_vals, out=cand)
-    cand += base_vals
-    sups = np.abs(cand, out=mags).max(axis=1)
+    base_vals = np.ascontiguousarray(base_vals, dtype=np.complex128)
+    char_vals = np.ascontiguousarray(char_vals, dtype=np.complex128)
+    phases = np.ascontiguousarray(phases, dtype=np.complex128)
+    rot = np.ones((len(phases), 3))
+    rot[:, :2] = phases.view(np.float64).reshape(-1, 2) * (2.0, -2.0)
+    rhs = np.empty((3, len(base_vals)))
+    rhs[:2] = (char_vals * np.conj(base_vals)).view(np.float64).reshape(-1, 2).T
+    parts = base_vals.view(np.float64) ** 2      # re^2, im^2 interleaved
+    parts += char_vals.view(np.float64) ** 2
+    np.add(parts[0::2], parts[1::2], out=rhs[2])
+    sups = np.matmul(rot, rhs, out=sq).max(axis=1)
     b = int(np.argmin(sups))
-    return b, float(sups[b])
+    return b, math.sqrt(sups[b])

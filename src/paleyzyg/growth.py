@@ -10,8 +10,11 @@ sorted frequency array and one row of coefficients per member, zeros kept.
 A moment probe draws each ensemble once and reads its rows together: rows
 with the same span are sampled together (torus._sample), in chunks of a
 fixed number of points, on the exact grid of the largest p, and every
-smaller p reads its own exact grid as a strided view of the big one.
-Sidon sups are read by torus as well.
+smaller p reads its own exact grid as a strided view of the big one.  The
+p/2-th powers come from one ladder of squares of the big grid per chunk.
+Sidon sups are read by torus as well; the Sidon phase ascent reads its
+candidates' squared moduli off one real product per step
+(_kernels.min_sup_phase).
 
 The 'phase-ascent' draw of a moment probe is the flat (all-ones)
 polynomial on the frequency set, and it attains the supremum over
@@ -72,6 +75,9 @@ class Ensemble:
             raise ValueError("trials must be >= 1")
 
 
+_SIGNS = np.array([-1.0 + 0j, 1.0 + 0j])
+
+
 def _draw_factors(ensemble, size):
     """The per-term factors of every member, (members, size): row t from
     default_rng([seed, t]), one all-ones row for a deterministic kind."""
@@ -80,7 +86,8 @@ def _draw_factors(ensemble, size):
     rows = []
     for t in range(ensemble.trials):
         rng = np.random.default_rng([ensemble.seed, t])
-        rows.append(rng.choice(np.array([-1.0 + 0j, 1.0 + 0j]), size=size)
+        # rng.choice(_SIGNS, size) makes this very call: the same stream
+        rows.append(_SIGNS[rng.integers(0, 2, size=size)]
                     if ensemble.kind == "random-signs" else np.exp(2j * np.pi * rng.random(size)))
     return np.stack(rows)
 
@@ -203,6 +210,37 @@ def _check_even_p(p):
 _CHUNK_POINTS = 1 << 16
 
 
+def _power_means(m2, qs, views, axes):
+    """The mean of m2**q over m2[view] for each q and view, destroying m2.
+
+    A power of two q = 2^k reads its view of rung k of a ladder that squares
+    m2 in place; any other q is multiplied out by its binary digits on a copy
+    of its view, in one buffer of m2's size, before the ladder starts.
+    """
+    means = {}
+    digits = {q: v for q, v in zip(qs, views) if q & (q - 1)}
+    if digits:
+        buf = np.empty(m2.size)
+        for q, view in digits.items():
+            base = m2[view]
+            acc = buf[:base.size].reshape(base.shape)
+            np.copyto(acc, base)
+            for digit in bin(q)[3:]:
+                acc *= acc
+                if digit == "1":
+                    acc *= base
+            means[q] = np.mean(acc, axis=axes).tolist()
+    ladder = {q: v for q, v in zip(qs, views) if not q & (q - 1)}
+    rung = 1
+    while ladder:
+        if rung in ladder:
+            means[rung] = np.mean(m2[ladder.pop(rung)], axis=axes).tolist()
+        if ladder:
+            m2 *= m2
+            rung *= 2
+    return [means[q] for q in qs]
+
+
 def _moment_ratios(freqs, V, p_grid):
     """||f||_p / ||f||_2 for every row f of V and every p in p_grid, as a
     (rows, len(p_grid)) array.
@@ -215,7 +253,8 @@ def _moment_ratios(freqs, V, p_grid):
     strided view (both sizes are powers of two per axis).  The ratio does
     not change when |f|^2 is scaled, so each row is divided by its max
     first: the p/2-th powers then lie in [0, 1] and the largest is 1, which
-    keeps them from overflowing or underflowing as a whole at any p.
+    keeps them from overflowing or underflowing as a whole at any p.  The
+    p/2-th powers come from one ladder of squares per chunk (_power_means).
     """
     V = np.asarray(V, dtype=np.complex128)
     freqs = np.asarray(freqs, dtype=np.int64).reshape(V.shape[1], -1)
@@ -226,24 +265,28 @@ def _moment_ratios(freqs, V, p_grid):
                       - np.where(nonzero, f, f.max()).min(axis=1) for f in freqs.T], axis=1)
     spans, group = np.unique(spans, axis=0, return_inverse=True)
     ratios = np.empty((len(V), len(p_grid)))
-    big_p = p_grid.index(max(p_grid))
+    qs = [p // 2 for p in p_grid]
     for j, span in enumerate(spans.tolist()):
         rows = np.flatnonzero(group == j)
-        grids = [tuple(grid_size(s, p // 2) for s in span) for p in p_grid]
-        big = grids[big_p]
+        grids = [tuple(grid_size(s, q) for s in span) for q in qs]
+        big = grids[qs.index(max(qs))]
         check_budget(math.prod(big), f"exact grid {big}")
+        views = [(slice(None), *(slice(None, None, b // g) for b, g in zip(big, grid)))
+                 for grid in grids]
         step = max(1, _CHUNK_POINTS // math.prod(big))
         for c in range(0, len(rows), step):
             chunk = rows[c:c + step]
-            m2 = np.abs(_sample(freqs, V[chunk], big)) ** 2
+            x = _sample(freqs, V[chunk], big)
+            m2 = x.real ** 2
+            m2 += x.imag ** 2
+            del x               # before the ladder's buffer is taken
             axes = tuple(range(1, m2.ndim))
             m2 /= m2.max(axis=axes, keepdims=True)
-            for i, (p, grid) in enumerate(zip(p_grid, grids)):
-                view = m2[(slice(None), *(slice(None, None, b // g) for b, g in zip(big, grid)))]
-                l2 = np.mean(view, axis=axes).tolist()
-                lp = np.mean(view ** (p // 2), axis=axes).tolist()
-                ratios[chunk, i] = [a ** (1.0 / p) / math.sqrt(b) for a, b in zip(lp, l2)]
-            del m2, view        # before the next chunk is sampled
+            l2 = [np.mean(m2[view], axis=axes).tolist() for view in views]
+            lp = _power_means(m2, qs, views, axes)
+            for i, p in enumerate(p_grid):
+                ratios[chunk, i] = [a ** (1.0 / p) / math.sqrt(b) for a, b in zip(lp[i], l2[i])]
+            del m2              # before the next chunk is sampled
     return ratios
 
 
@@ -430,13 +473,11 @@ def sidon_lower_bound(m, freqs, ensembles) -> float:
             f = chars.sum(axis=0)
             sup = float(np.abs(f).max())
             phases = np.exp(2j * np.pi * np.arange(16) / 16)
-            # the ascent's candidates and their moduli, reused by every step
-            cand = np.empty((len(phases), M), dtype=np.complex128)
-            mags = np.empty((len(phases), M))
+            sq = np.empty((len(phases), M))     # the candidates' |.|^2, reused by every step
             for _ in range(3):
                 for i in range(len(elems)):
                     base = f - coeffs[i] * chars[i]
-                    b, s = _kernels.min_sup_phase(base, chars[i], phases, cand, mags)
+                    b, s = _kernels.min_sup_phase(base, chars[i], phases, sq)
                     if s < sup:
                         sup = s
                         coeffs[i] = phases[b]

@@ -68,14 +68,16 @@ class TestLambdaPRatio:
 
     def test_huge_p_finite_and_bounded(self):
         # the p/2-th power of |f|^2 overflows past p ~ 500 unless scaled; the
-        # ratio is at most sup|f| / ||f||_2 <= sqrt(|Lambda|) for unimodular f
+        # ratio is at most sup|f| / ||f||_2 <= sqrt(|Lambda|) for unimodular f.
+        # p/2 = 50000 is multiplied out by its binary digits, 2^16 is a rung.
         fs = FrequencySet(1, frozenset([1, 2, 4, 8]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for ens in (Ensemble("flat"), Ensemble("random-signs", seed=101, trials=4)):
-                r = lambda_p_ratio(fs, 100000, ens)
-                assert math.isfinite(r) and 1.0 < r <= 2.0 * (1 + 1e-12)
-            assert lambda_p_ratio(fs, 100000, Ensemble("flat")) > 1.99
+            for p in (100000, 2 ** 17):
+                for ens in (Ensemble("flat"), Ensemble("random-signs", seed=101, trials=4)):
+                    r = lambda_p_ratio(fs, p, ens)
+                    assert math.isfinite(r) and 1.0 < r <= 2.0 * (1 + 1e-12)
+                assert lambda_p_ratio(fs, p, Ensemble("flat")) > 1.99
 
     def test_singleton_all_p(self):
         fs = FrequencySet(1, frozenset([9]))
@@ -342,6 +344,16 @@ class TestDraws:
             return rng.choice(np.array([-1.0 + 0j, 1.0 + 0j]), size=size)
         return np.exp(2j * np.pi * rng.random(size))
 
+    @pytest.mark.parametrize("seed, trials, size", [(0, 3, 6), (101, 32, 8), (2 ** 31 + 7, 4, 16)])
+    def test_sign_rows_are_the_stream_of_choice(self, seed, trials, size):
+        # the sign rows index [-1, 1] by rng.integers(0, 2, size), the call
+        # rng.choice makes: a numpy that changes either fails here instead of
+        # drifting every random-signs value
+        V = growth._draw_factors(Ensemble("random-signs", seed=seed, trials=trials), size)
+        assert V.shape == (trials, size)
+        for t, row in enumerate(V):
+            assert np.array_equal(row, np.random.default_rng([seed, t]).choice([-1, 1], size))
+
     @pytest.mark.parametrize("kind", ["random-signs", "steinhaus"])
     def test_plain_rows_are_the_members_drawn_alone(self, kind):
         spec = PlainSpectrum(FrequencySet(1, frozenset(geometric_lacunary(2, 8).terms)))
@@ -487,6 +499,67 @@ class TestMomentRoutine:
         assert main(["lambda-p", "--trials", "6", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(P_GRID)
         assert shapes == [(6, 8)]
+
+
+class TestPowerLadder:
+    """The p/2-th powers from the ladder of squares against a direct
+    np.mean(np.abs(samples) ** p) on each p's own exact grid."""
+
+    GRIDS = ((6, 10, 12, 30), (12, 4, 30, 8, 6), (8, 6, 8, 16, 4))
+
+    @staticmethod
+    def _direct(freqs, V, p_grid):
+        freqs = np.asarray(freqs).reshape(V.shape[1], -1)
+        out = np.empty((len(V), len(p_grid)))
+        for r, row in enumerate(V):
+            f, c = freqs[row != 0], row[row != 0]
+            span = f.max(axis=0) - f.min(axis=0)
+            for i, p in enumerate(p_grid):
+                sizes = tuple(grid_size(s, p // 2) for s in span)
+                spec = np.zeros(sizes, dtype=np.complex128)
+                np.add.at(spec, tuple((f % sizes).T), c)
+                samples = np.fft.ifftn(spec) * spec.size
+                out[r, i] = (np.mean(np.abs(samples) ** p) ** (1 / p)
+                             / np.sqrt(np.mean(np.abs(samples) ** 2)))
+        return out
+
+    @staticmethod
+    def _random_tables(seed):
+        # rows with zeros span less than the others, so they take smaller grids
+        rng = np.random.default_rng(seed)
+        freqs = np.sort(rng.choice(np.arange(-40, 41), size=9, replace=False))
+        V = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+        V[1, 0] = V[2, -1] = V[3, :3] = 0
+        return freqs, V
+
+    @pytest.mark.parametrize("p_grid", GRIDS)
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_random_1d_tables(self, seed, p_grid):
+        freqs, V = self._random_tables(seed)
+        np.testing.assert_allclose(_moment_ratios(freqs, V, p_grid),
+                                   self._direct(freqs, V, p_grid), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("p_grid", GRIDS)
+    def test_2d_table(self, p_grid):
+        table = TestMomentRoutine._table("nd")
+        freqs, V = list(table), np.array([list(table.values())])
+        np.testing.assert_allclose(_moment_ratios(freqs, V, p_grid),
+                                   self._direct(freqs, V, p_grid), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("p_grid", GRIDS)
+    def test_sumset_draw(self, p_grid):
+        freqs, V = SumsetSpectrum(geometric_lacunary(2, 6), 2).draw(
+            Ensemble("random-signs", seed=4, trials=5))
+        np.testing.assert_allclose(_moment_ratios(freqs, V, p_grid),
+                                   self._direct(freqs, V, p_grid), rtol=1e-14, atol=0)
+
+    def test_order_and_repeats_only_permute_columns(self):
+        freqs, V = self._random_tables(3)
+        p_grid = (12, 4, 30, 8, 6, 8)
+        ratios = _moment_ratios(freqs, V, p_grid)
+        ordered = _moment_ratios(freqs, V, tuple(sorted(set(p_grid))))
+        for i, p in enumerate(p_grid):
+            assert np.array_equal(ratios[:, i], ordered[:, sorted(set(p_grid)).index(p)])
 
 
 class TestBatchedReader:
