@@ -11,7 +11,7 @@ USING_NUMBA = False
 
 
 # No library code calls nudft: realline.fourier_transform evaluates the same
-# sum in factored form, and the tests compare it with this dense reference.
+# sum by a type-2 NUFFT, and the tests compare it with this dense reference.
 # perfbench/run.py imports this module and perfbench/tests reads
 # paleyzyg._kernels.nudft, so the name stays bound here.
 def nudft(values, points, freqs):

@@ -2,40 +2,57 @@
 Paley measures, and the weighted inequality probes.
 
 Signals live on [-L, L) sampled at M points (power of two); the transform is
-a spacing-h rectangle rule, trusted on the band |xi| <= 1/(4h).  Its sum is
-evaluated in factored form, without approximation.  Split the sample index
-as j = B a + b, the split the Cooley-Tukey FFT is built on, with
-B = 2^floor(log2(M) / 2) and A = M / B.  Since x_j = -L + j h,
+a spacing-h rectangle rule, trusted on the band |xi| <= 1/(4h).  Centre the
+sample index, n = j - M/2, so that x_j = n h (L = h M / 2) and
 
-    f_hat(xi) = h e^{2 pi i xi L} sum_a e^{-2 pi i xi B h a}
-                                  sum_b f_{B a + b} e^{-2 pi i xi h b},
+    f_hat(xi) = h sum_n f_{n + M/2} e^{-2 pi i n x},   x = xi h, |x| <= 1/4,
 
-which costs n (A + B) exponentials and one (n x B) @ (B x A) matrix product
-for n frequencies, where the dense sum costs n M.  It agrees with the dense
-sum (``_kernels.nudft``) to 3.1e-14 h ||f||_1 at M = 2^15 (measured).  On
-the dual grid xi_m = m/(2L) the transform is h (-1)^m fft(f)_m, and the
-factor cancels on the way back, so the dyadic blocks Delta_k f =
-ifft(eta(2^-k xi) fft(f)) are all read off one FFT of the samples.
+a trigonometric polynomial in x: f_hat at any set of nodes is a type-2
+nonuniform FFT.  ``_nufft`` evaluates it by Gaussian gridding (Dutt &
+Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard & Lee, SIAM Rev. 46, 2004)
+on N = 2M grid points, with S = _SPREAD = 14 bins on each side of a node:
+
+1. divide the samples by the Fourier coefficients of the periodic Gaussian,
+   which are proportional to e^{-tau n^2}: multiply by e^{tau n^2}, with
+   tau = pi S / (M^2 R (R - 1/2)) = 14 pi / (3 M^2) for the oversampling R = 2;
+2. zero-pad to N points and take one FFT, F_m; the band puts every node
+   within N/4 bins of bin 0, so F is extended periodically by N/4 + S bins
+   on each side and read without wrap-around;
+3. at each node, u = N x in bins, sum the 2S nearest bins:
+
+    f_hat(xi) ~ (h/2) sqrt(3/S) sum_m F_m e^{-3 pi (u - m)^2 / (4 S)},
+
+   where the weight's exponent, (pi/M)^2 (u - m)^2 / (4 tau), does not
+   depend on M.
+
+That is one 2M-point FFT per call and 2S terms per node: 0.8 ms for the
+1,920 nodes of blocks -10..4 at M = 2048.  Against the dense sum
+(``_kernels.nudft``) the error is at most 2.1e-14 h ||f||_1 over M = 16 ..
+2^15 and L = 0.5, 4, 64, 2,003 nodes each (measured; an exact evaluation in
+Cooley-Tukey factored form is itself 3.1e-14 off at 2^15, from rounding).
+Nothing is cached: the FFT depends on the signal alone and the weights on
+the node alone, and their exponentials are under a tenth of a call, so a
+plan that kept them for a node set would save little.  A node's f_hat thus
+has the same bits alone or in any batch, and a density block adds the same
+number to any range that holds it (``_sum_by_block``).
+
+On the dual grid xi_m = m/(2L) the transform is h (-1)^m fft(f)_m, and the
+factor cancels on the way back, so the dyadic blocks
+Delta_k f = ifft(eta(2^-k xi) fft(f)) are all read off one FFT of the
+samples.
 
 Measures are atoms or dyadic-blockwise densities; atom integrals are point
 evaluations of f_hat, densities use 64-point Gauss-Legendre quadrature per
 signed block half, which is where all the structure lives.  Block masses,
 int |f_hat|^2 dmu and the witness integrals all sum over the nodes of
-``PaleyMeasure._nodes``, block by block.  The nodes of density block k are
-the same for every density, so the phase tables of the factored sum at them
-depend on (k, h, M) alone and are cached (``_half_block_tables``, positive
-nodes only: |f_hat(-xi)| is |f_hat| of conj(f) at xi).
-Atom integrals build their tables afresh.  Both run ``_factored_sum``, so a
-density block gives the |f_hat| bits ``fourier_transform`` gives at its
-nodes (checked at M = 2^8 to 2^15).  For the |xi|^-1
-density the quadrature is off by at most 1.14e-7 relative on the first 20
-criterion-9 signals (blocks -10..4 and -2..4), measured against the exact
-h^2 sum_l r(l) mu_hat(l h), r the sample autocorrelation.
+``PaleyMeasure._nodes``, block by block, and every node's f_hat comes from
+``fourier_transform``.  For the |xi|^-1 density the quadrature is off by at
+most 1.14e-7 relative on the first 20 criterion-9 signals (blocks -10..4 and
+-2..4), measured against the exact h^2 sum_l r(l) mu_hat(l h), r the sample
+autocorrelation.
 """
 
-import collections
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,91 +107,56 @@ class CompactSignal:
         return float(self.h * np.sum(a * np.sqrt(np.log1p(a))))
 
 
-def _phase_tables(h, half_width, B, A, freqs):
-    """The factors of the factored sum at freqs (module docstring), one row
-    per frequency: exp(-2 pi i xi h b) for b < B in columns :B,
-    exp(-2 pi i xi B h a) for a < A in columns B:B+A, and h exp(2 pi i xi L)
-    in the last column."""
-    phase = -2j * np.pi * h * freqs[:, None]
-    tables = np.empty((freqs.size, B + A + 1), dtype=np.complex128)
-    np.exp(phase * np.arange(B), out=tables[:, :B])
-    np.exp(phase * (B * np.arange(A)), out=tables[:, B:-1])
-    tables[:, -1] = h * np.exp(2j * np.pi * half_width * freqs)
-    return tables
-
-
-def _split(M):
-    """(B, A, rows): the sample index split j = B a + b, and the frequency
-    rows per pass, which keep each temporary at 128 KB per signal, in cache."""
-    B = 1 << (M.bit_length() - 1) // 2
-    A = M // B
-    return B, A, max(1, (1 << 13) // A)
-
-
-def _factored_sum(values, tables) -> np.ndarray:
-    """f_hat at the frequencies of the _phase_tables rows for each row of
-    values, an (n, M) stack of samples: an (n, rows) array, from one
-    (rows x B) @ (B x n A) product per pass of _split(M) rows."""
-    n, M = values.shape
-    B, A, rows = _split(M)
-    samples = values.reshape(n * A, B).T
-    out = np.empty((n, tables.shape[0]), dtype=np.complex128)
-    for i in range(0, tables.shape[0], rows):
-        t = tables[i:i + rows]
-        inner = (t[:, :B] @ samples).reshape(-1, n, A)
-        out[:, i:i + rows] = (t[:, -1:] * np.sum(t[:, None, B:-1] * inner, axis=2)).T
-    return out
-
-
 def _check_band(s: CompactSignal, freqs):
     if freqs.size and float(np.abs(freqs).max()) > s.band * (1 + 1e-12):
         raise ValueError(f"frequency grid exceeds the validity band |xi| <= {s.band}")
 
 
-def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
-    """f_hat(xi) = h * sum_j f(x_j) exp(-2 pi i xi x_j) on the given grid.
+# The Gaussian gridding of _nufft: _SPREAD grid bins on each side of a node,
+# and at most _PASS nodes per pass, which keeps each pass's temporaries at
+# about 230 KB, in cache.
+_SPREAD = 14
+_PASS = 512
 
-    The sum is evaluated, without approximation, in the factored form of
-    the module docstring.  Frequencies outside the validity band are rejected.
-    """
+
+def _nufft(s: CompactSignal, freqs) -> np.ndarray:
+    """f_hat at freqs inside the band, by the type-2 NUFFT of the module
+    docstring.  The value at a node depends on that node alone, not on the
+    other nodes of the call."""
+    M = s.size
+    # e^{tau n^2} for the centred index n, with tau M^2 = pi S / 3
+    n_over_m = np.arange(-(M // 2), M // 2) / M
+    deconvolved = s.values * np.exp((np.pi * _SPREAD / 3) * n_over_m ** 2)
+    padded = np.zeros(2 * M, dtype=np.complex128)
+    padded[:M // 2] = deconvolved[M // 2:]
+    padded[-(M // 2):] = deconvolved[:M // 2]
+    spectrum = np.fft.fft(padded)
+    edge = M // 2 + _SPREAD
+    spectrum = np.concatenate([spectrum[-edge:], spectrum[:edge + 1]])
+    u = (4.0 * s.half_width) * freqs     # N x = 2 M h xi = 4 L xi, in bins
+    taps = np.arange(1 - _SPREAD, _SPREAD + 1)
+    out = np.empty(freqs.shape, dtype=np.complex128)
+    for i in range(0, freqs.size, _PASS):
+        ui = u[i:i + _PASS]
+        lo = np.floor(ui)
+        # in place: one real and one complex (nodes, 2 _SPREAD) temporary
+        weights = (ui - lo)[:, None] - taps
+        weights *= weights
+        weights *= -0.75 * np.pi / _SPREAD
+        np.exp(weights, out=weights)
+        terms = spectrum[lo.astype(np.int64)[:, None] + (taps + edge)]
+        terms *= weights
+        out[i:i + _PASS] = terms.sum(axis=1)
+    return (0.5 * s.h * math.sqrt(3.0 / _SPREAD)) * out
+
+
+def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
+    """f_hat(xi) = h * sum_j f(x_j) exp(-2 pi i xi x_j) on the given grid,
+    by the NUFFT of the module docstring.  Frequencies outside the validity
+    band are rejected."""
     freqs = np.atleast_1d(np.asarray(freq_grid, dtype=float))
     _check_band(s, freqs)
-    B, A, rows = _split(s.size)
-    total = np.empty(freqs.shape, dtype=np.complex128)
-    for start in range(0, freqs.size, rows):
-        tables = _phase_tables(s.h, s.half_width, B, A, freqs[start:start + rows])
-        total[start:start + rows] = _factored_sum(s.values[None], tables)[0]
-    return total
-
-
-# Phase tables kept by _half_block_tables, least recently used first, the
-# lock that keeps their order whole across threads, and the most bytes they
-# may hold at any M.
-_cached_tables = collections.OrderedDict()
-_cached_tables_lock = threading.Lock()
-_TABLE_BYTES = 1 << 23
-
-
-def _half_block_tables(k, h, M):
-    """_phase_tables at the positive nodes of density block k, for the
-    window of spacing h and M samples, read-only.  An entry holds
-    64 (A + B + 1) complex numbers: 97 KB at M = 2048, 385 KB at M = 2^15,
-    2.0 MB at M = 2^20.  Least recently used entries go once the cache holds
-    more than _TABLE_BYTES (8 MiB: 84 blocks at M = 2048, 21 at M = 2^15,
-    3 at M = 2^20), so a probe run over one k range of up to that many
-    blocks builds each table once."""
-    key = (k, h, M)
-    with _cached_tables_lock:
-        if key in _cached_tables:
-            _cached_tables.move_to_end(key)
-            return _cached_tables[key]
-        B, A, _ = _split(M)
-        tables = _phase_tables(h, 0.5 * h * M, B, A, _block_points(k)[0])
-        tables.setflags(write=False)
-        _cached_tables[key] = tables
-        while sum(t.nbytes for t in _cached_tables.values()) > _TABLE_BYTES:
-            _cached_tables.popitem(last=False)
-        return tables
+    return _nufft(s, freqs)
 
 
 def _dual_grid(s: CompactSignal):
@@ -222,10 +204,12 @@ def square_function_norm(s: CompactSignal, k_range=None) -> float:
 _GL_NODES = 64
 
 
-def _block_points(k):
-    """Gauss-Legendre nodes and weights on [2^k, 2^{k+1})."""
+def _block_points(ks):
+    """Gauss-Legendre nodes and weights on [2^k, 2^{k+1}), one row for each
+    k in ks."""
     gx, gw = window._gauss_legendre(_GL_NODES)
-    lo, hi = 2.0 ** k, 2.0 ** (k + 1)
+    lo = np.ldexp(1.0, np.asarray(ks, dtype=np.int64))[:, None]
+    hi = 2.0 * lo
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + rad * gx, rad * gw
 
@@ -278,10 +262,16 @@ class PaleyMeasure:
 
     def block_nodes(self, k):
         """Gauss-Legendre nodes and density-laden weights on +-[2^k, 2^{k+1})."""
-        xs_pos, ws = _block_points(k)
-        xs = np.concatenate([xs_pos, -xs_pos])
+        xs, ws = self._density_nodes([k])
+        return xs[0], ws[0]
+
+    def _density_nodes(self, ks):
+        """The block_nodes of each block of ks as (blocks, nodes) arrays, one
+        row per block, from one evaluation of the density."""
+        xs_pos, ws = _block_points(ks)
+        xs = np.concatenate([xs_pos, -xs_pos], axis=1)
         dens = np.asarray(self.density(np.abs(xs)), dtype=float)
-        return xs, np.concatenate([ws, ws]) * dens
+        return xs, np.concatenate([ws, ws], axis=1) * dens
 
     def _density_blocks(self, k_range):
         """The density blocks of k_range (k_range=None: all of them)."""
@@ -309,9 +299,7 @@ class PaleyMeasure:
         if self.kind == "atoms":
             nodes = self._atom_nodes(k_range)[0]
             return nodes[:, :1], nodes[:, 1:]
-        nodes = [self.block_nodes(k) for k in self._density_blocks(k_range)]
-        blocks = np.array(nodes).reshape(-1, 2, 2 * _GL_NODES)
-        return blocks[:, 0], blocks[:, 1]
+        return self._density_nodes(self._density_blocks(k_range))
 
     def block_mass(self, k):
         return self.block_masses(k, k)[0]
@@ -358,22 +346,13 @@ def paley_sup(mu: PaleyMeasure, k_range) -> PaleySupReport:
 
 
 def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
-    """int |f_hat|^2 dmu over the blocks in range: f_hat at the nodes of
-    PaleyMeasure._nodes, which are exact atom evaluations or per-block
-    quadrature for densities; density blocks read the cached phase tables
-    of _half_block_tables.  An atom counts when its signed block
-    +-[2^k, 2^{k+1}) is in range, as in block_mass; k_range=None keeps
-    every atom."""
+    """int |f_hat|^2 dmu over the blocks in range: f_hat by one
+    fourier_transform at all the nodes of PaleyMeasure._nodes, which are
+    exact atom evaluations or per-block quadrature for densities.  An atom
+    counts when its signed block +-[2^k, 2^{k+1}) is in range, as in
+    block_mass; k_range=None keeps every atom."""
     xs, ws = mu._nodes(k_range)
-    if mu.kind == "atoms":
-        fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
-    else:
-        _check_band(s, xs)
-        # |f_hat(-xi)| is |f_hat| of conj(f) at xi, so the positive nodes'
-        # tables serve both halves of a block
-        both = np.stack([s.values, s.values.conj()])
-        fhat = np.array([_factored_sum(both, _half_block_tables(k, s.h, s.size))
-                         for k in mu._density_blocks(k_range)]).reshape(xs.shape)
+    fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
     return _sum_by_block(ws * np.abs(fhat) ** 2)
 
 

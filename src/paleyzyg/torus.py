@@ -351,7 +351,13 @@ def _sample(freqs, values, sizes):
         return columns.T.reshape(rows + sizes)
     bins = np.ravel_multi_index(tuple((freqs % sizes).T), sizes)
     spec = np.zeros((math.prod(rows), math.prod(sizes)), dtype=np.complex128)
-    np.add.at(spec, (np.arange(len(spec))[:, None], bins), values.reshape(len(spec), -1))
+    # one flat scatter of the nonzero entries: a bin starts at +0 and never
+    # holds -0, so zeros add nothing, and the Sidon characters, an identity
+    # stack, scatter n entries, not n^2
+    flat = (np.arange(0, spec.size, spec.shape[1])[:, None] + bins).reshape(-1)
+    values = values.reshape(-1)
+    keep = values != 0
+    np.add.at(spec.reshape(-1), flat[keep], values[keep])
     return np.fft.ifftn(spec.reshape(rows + sizes), norm="forward",
                         axes=tuple(range(len(rows), len(rows) + len(sizes))))
 

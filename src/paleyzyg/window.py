@@ -16,13 +16,9 @@ SUPPORT_HI = 3.0
 def eta(xi):
     """Evaluate the window at xi (scalar or array)."""
     t = np.abs(np.asarray(xi, dtype=float))
-    out = np.zeros_like(t)
-    ramp_up = (t >= 1.0) & (t < 1.5)
-    out[ramp_up] = 2.0 * (t[ramp_up] - 1.0)
-    flat = (t >= 1.5) & (t <= 2.0)
-    out[flat] = 1.0
-    ramp_dn = (t > 2.0) & (t <= 3.0)
-    out[ramp_dn] = 3.0 - t[ramp_dn]
+    # 2 min(t - 1, (3 - t) / 2) is min(2 (t - 1), 3 - t) bit for bit, and
+    # does not overflow for t near the float maximum
+    out = np.clip(2.0 * np.minimum(t - 1.0, 0.5 * (3.0 - t)), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 

@@ -258,6 +258,24 @@ class TestStackedSample:
             assert not np.array_equal(row, one)
             assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
 
+    @pytest.mark.parametrize("sizes", [(16,), (1 << 12,), (1 << 16,), (64, 32)])
+    def test_zeros_are_not_scattered(self, sizes):
+        # a stack scatters only its nonzero entries; a bin starts at +0 and
+        # never holds -0, so the samples keep the bits of the scatter of every
+        # entry: a moment stack with zeros of both signs, and the one-hot rows
+        # of the Sidon characters on frequencies that share bins
+        freqs, V = self.stack(sizes)
+        V[2, ::2] = -0.0
+        V[3, 1::4] = complex(-0.0, -0.0)
+        V[4] = np.where(np.arange(V.shape[1]) % 2, 1.0, -1.0)
+        for values in (V, np.eye(len(freqs)), np.eye(len(freqs))[:, ::-1]):
+            bins = np.ravel_multi_index(tuple((freqs % sizes).T), sizes)
+            spec = np.zeros((len(values), math.prod(sizes)), dtype=np.complex128)
+            np.add.at(spec, (np.arange(len(values))[:, None], bins), values)
+            want = np.fft.ifftn(spec.reshape((len(values),) + sizes), norm="forward",
+                                axes=tuple(range(1, 1 + len(sizes))))
+            assert torus._sample(freqs, values, sizes).tobytes() == want.tobytes()
+
     def test_one_hot_rows_are_characters(self):
         # the Sidon ascent's characters, against e^{2 pi i (n j mod M) / M}
         n = np.array([2 ** k for k in range(11)] + [3 * 2 ** 10 - 1])
