@@ -39,11 +39,13 @@ number to any range that holds it (``_sum_by_block``).
 On the dual grid xi_m = m/(2L) the transform is h (-1)^m fft(f)_m, and the
 factor cancels on the way back, so the dyadic blocks
 Delta_k f = ifft(eta(2^-k xi) fft(f)) are all read off one FFT of the
-samples.
+samples, by the block loop the torus square function uses
+(torus._dyadic_blocks); this module takes forward FFTs only.
 
 Measures are atoms or dyadic-blockwise densities; atom integrals are point
 evaluations of f_hat, densities use 64-point Gauss-Legendre quadrature per
-signed block half, which is where all the structure lives.  Block masses,
+signed block half, which is where all the structure lives; density blocks
+lie in -1022..1022, where every node is a normal float.  Block masses,
 int |f_hat|^2 dmu and the witness integrals all sum over the nodes of
 ``PaleyMeasure._nodes``, block by block, and every node's f_hat comes from
 ``fourier_transform``.  For the |xi|^-1 density the quadrature is off by at
@@ -59,6 +61,7 @@ import numpy as np
 
 from . import window
 from .multipliers import _diverging
+from .torus import _dyadic_blocks, _square_function
 
 
 @dataclass(frozen=True)
@@ -159,25 +162,17 @@ def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
     return _nufft(s, freqs)
 
 
-def _dual_grid(s: CompactSignal):
-    """The dual grid xi_m = m/(2L) of s, m = 0..M/2-1, -M/2..-1, and the
-    FFT of its samples (see the module docstring)."""
-    M = s.size
-    m = np.fft.fftfreq(M, d=1.0 / M).astype(np.int64)
-    return m / (2.0 * s.half_width), np.fft.fft(s.values)
-
-
 def _blocks(s: CompactSignal, ks):
-    """The samples of Delta_k f = ifft(eta(2^-k xi) fft(f)) for each k in ks,
-    from one FFT of s; a block outside the validity band is rejected, and one
-    whose window holds no dual-grid point is zero and skipped."""
-    xi, dft = _dual_grid(s)
+    """The samples of Delta_k f = ifft(eta(2^-k xi) fft(f)) for the k in ks,
+    by torus._dyadic_blocks on one FFT of s over the dual grid xi_m = m/(2L),
+    m = 0..M/2-1, -M/2..-1 (see the module docstring).  A block outside the
+    validity band is rejected here, before any block is made (past
+    k = 1021, 2^{k+2} is no float)."""
     for k in ks:
-        if 2.0 ** (k + 2) > s.band * (1 + 1e-12):
+        if k > 1021 or 2.0 ** (k + 2) > s.band * (1 + 1e-12):
             raise ValueError(f"block {k} lies outside the validity band (band {s.band})")
-        eta = window.eta_scaled(xi, k)
-        if eta.any():
-            yield np.fft.ifft(eta * dft)
+    m = np.fft.fftfreq(s.size, d=1.0 / s.size).astype(np.int64)
+    return _dyadic_blocks(np.fft.fft(s.values), m / (2.0 * s.half_width), ks, "backward")
 
 
 def lp_block(s: CompactSignal, k) -> CompactSignal:
@@ -194,11 +189,8 @@ def square_function_norm(s: CompactSignal, k_range=None) -> float:
     """Rectangle-rule L1 norm of (sum_k |Delta_k f|^2)^{1/2}."""
     if k_range is None:
         k_range = default_k_range(s)
-    k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    acc = np.zeros(s.size)
-    for block in _blocks(s, range(k_lo, k_hi + 1)):
-        acc += np.abs(block) ** 2
-    return float(s.h * np.sum(np.sqrt(acc)))
+    ks = range(int(k_range[0]), int(k_range[1]) + 1)
+    return float(s.h * np.sum(_square_function(_blocks(s, ks), s.size)))
 
 
 _GL_NODES = 64
@@ -249,6 +241,9 @@ class PaleyMeasure:
         k_min, k_max = int(k_min), int(k_max)
         if k_max < k_min:
             raise ValueError("k_max must be >= k_min")
+        # below block -1022 the nodes are subnormal or 0; past 1022, 2^{k+1} overflows
+        if k_min < -1022 or k_max > 1022:
+            raise ValueError(f"density blocks must lie in -1022..1022, got {k_min}..{k_max}")
         if gap is None:
             gap = 2.0 ** k_min
         return PaleyMeasure(kind="density", density=fn, density_name=name,
@@ -305,15 +300,20 @@ class PaleyMeasure:
         return self.block_masses(k, k)[0]
 
     def block_masses(self, k_lo, k_hi):
-        """The mass of each signed block k_lo..k_hi.  Atoms take one pass:
-        each block sums its weights in atom order from 0.0, as _sum_by_block
-        does."""
+        """The mass of each signed block k_lo..k_hi, in one pass, as
+        _sum_by_block gives it for that block alone: a density block sums
+        its nodes, from one _density_nodes call over the blocks of the
+        measure in range, and an atom block sums its weights in atom order
+        from 0.0; a block outside the measure has mass 0.0."""
         k_lo, k_hi = int(k_lo), int(k_hi)
-        if self.kind != "atoms":
-            return [_sum_by_block(self._nodes((k, k))[1]) for k in range(k_lo, k_hi + 1)]
-        nodes, ks = self._atom_nodes((k_lo, k_hi))
+        if self.kind == "atoms":
+            nodes, ks = self._atom_nodes((k_lo, k_hi))
+            terms = nodes[:, 1]
+        else:
+            ks = self._density_blocks((k_lo, k_hi))
+            terms = self._density_nodes(ks)[1].sum(axis=1)
         masses = np.zeros(max(0, k_hi - k_lo + 1))
-        np.add.at(masses, ks - k_lo, nodes[:, 1])
+        np.add.at(masses, np.asarray(ks, dtype=np.int64) - k_lo, terms)
         return masses.tolist()
 
 

@@ -5,16 +5,19 @@ entries elided) as arrays; the dict ``TrigPoly.coeffs`` is a view of them.
 ``synthesize``/``analyze`` move between the coefficient table and uniform
 grid samples via the FFT; both are exact up to round-off whenever the grid
 strictly oversamples the degree (M > 2 * degree per axis).  No other
-module samples a table on a grid or reads one.  ``_sample_blocks`` samples
-one 1-D table: one inverse FFT, or, on grids of 2^16 points or more,
-cache-sized blocks, by a pruned four-step FFT for sparse tables and by
-output decimation for dense tables of small span (forms, thresholds and
-measured errors in its docstring).  ``_sample`` puts those blocks in grid
-order, and samples any other table or stack of tables (the moment grids,
-the Sidon characters) by one inverse FFT over the grid axes.
-``_abs_readings``, the one kernel of ``lp_norm`` and ``orlicz_functional``,
-also reduces the blocks one by one for ``_grid_readings``, so the Orlicz
-means and the Ingham and Sidon sups build no sample array.
+module samples a table on a grid or reads one.  ``_sample`` samples one
+table or a stack of tables by one scatter and one inverse FFT over the grid
+axes, so a row of a stack has the bits of that table alone.
+``_sample_blocks`` feeds ``_grid_readings`` only: it samples one 1-D table
+by one inverse FFT, or, on grids of 2^16 points or more, in cache-sized
+blocks, by a pruned four-step FFT for sparse tables and by output
+decimation for dense tables of small span (forms, thresholds and measured
+errors in its docstring).  ``_abs_readings``, the one kernel of
+``lp_norm`` and ``orlicz_functional``, reduces those blocks one by one, so
+the Orlicz means and the Ingham and Sidon sups build no sample array.
+``_dyadic_blocks`` is the one Littlewood-Paley block loop, for the torus
+and the real line alike (``realline`` reads its blocks off the FFT of a
+signal's samples).
 """
 
 import functools
@@ -234,7 +237,8 @@ def _sizes_tuple(sizes, dim):
 
 
 def _sample_blocks(freqs, values, M):
-    """Samples of sum_n values[n] e^{2 pi i n j / M}, j < M, in blocks.
+    """Samples of sum_n values[n] e^{2 pi i n j / M}, j < M, in blocks, for
+    the blocked readings of _grid_readings.
 
     Yields 2-D blocks B that cover the grid exactly once: read as a
     row-major array of B.shape[0] rows, the grid is the blocks side by side
@@ -326,29 +330,11 @@ def _sample(freqs, values, sizes):
     the (n, dim) int frequencies freqs: shape values.shape[:-1] + sizes.
 
     The one scatter of a coefficient table into a torus grid: frequencies
-    land in their bins modulo the sizes, where coinciding bins add.  One
-    table (or a stack of one) on a 1-D grid, zeros dropped, is the blocks of
-    _sample_blocks (its docstring gives their forms, thresholds and measured
-    deviation from the plain FFT), each copied whole into a buffer that
-    holds the grid column by column, put in order by one transposing copy.
-    Anything else takes one scatter and one inverse FFT over the grid axes,
-    which give each row of a stack the bits of that row alone below 2^16
-    points and on nD grids.
+    land in their bins modulo the sizes, where coinciding bins add.  Every
+    table and stack takes one scatter and one inverse FFT over the grid
+    axes, which give each row of a stack the bits of that row alone.
     """
     rows = values.shape[:-1]
-    if len(sizes) == 1 and math.prod(rows) == 1:
-        (M,), values = sizes, values.reshape(-1)
-        if not values.all():    # no copy of a table without zeros
-            freqs, values = freqs[values != 0], values[values != 0]
-        columns, c = None, 0
-        for block in _sample_blocks(freqs, values, M):
-            if block.size == M:
-                return block.reshape(rows + sizes)
-            if columns is None:
-                columns = np.empty((M // len(block), len(block)), dtype=np.complex128)
-            columns[c:c + block.shape[1]] = block.T
-            c += block.shape[1]
-        return columns.T.reshape(rows + sizes)
     bins = np.ravel_multi_index(tuple((freqs % sizes).T), sizes)
     spec = np.zeros((math.prod(rows), math.prod(sizes)), dtype=np.complex128)
     # one flat scatter of the nonzero entries: a bin starts at +0 and never
@@ -491,40 +477,47 @@ def weighted_l2(p: TrigPoly, m) -> float:
     return math.sqrt(float(np.sum(np.abs(weighted) ** 2)))
 
 
-def square_function_blocks(p: TrigPoly):
-    """Coefficient tables of the dyadic blocks eta(2**-k n) f_hat(n), k meeting supp(p).
+def _dyadic_blocks(spec, xi, ks, norm):
+    """The dyadic blocks Delta_k = ifft(eta(2**-k xi) spec, norm=norm) of
+    the 1-D spectrum spec on the frequencies xi, for each k in ks, in order.
 
-    Frequency 0 never meets any block (the window vanishes at 0).
+    A k whose window 2**k < |xi| < 3 * 2**k misses the |xi| range of the
+    nonzero bins (window.blocks_meeting) is skipped before any array work:
+    its block is zero, and eta_scaled is not evaluated where 2**k leaves the
+    float range.  A bin at xi = 0 never meets any block.  norm is "forward"
+    on the torus, where spec is the coefficient table, and "backward" on the
+    real line, where it is the FFT of the samples.
     """
-    if p.dim != 1:
-        raise ValueError("square function blocks are defined for dim 1")
-    n = p.freqs[:, 0]
-    mags = np.abs(n[n != 0])
-    if not mags.size:
-        return {}
-    blocks = {}
-    for k in window.blocks_meeting(int(mags.min()), int(mags.max())):
-        w = window.eta_scaled(n, k)
-        keep = w != 0.0
-        if keep.any():
-            weighted = w[keep] * p.values[keep]
-            blocks[k] = TrigPoly.from_arrays(1, n[keep], weighted)
-    return blocks
+    mags = np.abs(xi[(spec != 0) & (xi != 0)])
+    meeting = set(window.blocks_meeting(mags.min(), mags.max())) if mags.size else ()
+    for k in ks:
+        if k in meeting:
+            yield np.fft.ifft(window.eta_scaled(xi, k) * spec, norm=norm)
+
+
+def _square_function(blocks, size):
+    """The samples of (sum_k |Delta_k|**2)**(1/2) over dyadic blocks of
+    `size` samples each, summed in the order they come."""
+    acc = np.zeros(size)
+    for block in blocks:
+        acc += np.abs(block) ** 2
+    return np.sqrt(acc)
 
 
 def periodic_square_function_norm(p: TrigPoly) -> float:
     """L1 norm of (sum_k |Delta_k f|**2)**(1/2) on a shared grid of
-    grid_size(degree, SUP_L1_FACTOR) points.
+    grid_size(degree, SUP_L1_FACTOR) points, within the budget.
 
-    The blocks Delta_k carry coefficients eta(2**-k n) f_hat(n); a nonzero
-    mean coefficient f_hat(0) never enters any block.
+    The blocks Delta_k carry coefficients eta(2**-k n) f_hat(n) and come
+    from one scatter of the table (_dyadic_blocks); a nonzero mean
+    coefficient f_hat(0) never enters any block.
     """
-    blocks = square_function_blocks(p)
-    if not blocks:
-        return 0.0
-    grid = grid_size(p.degree, SUP_L1_FACTOR)
-    acc = np.zeros(grid)
-    for k in sorted(blocks):
-        vals = synthesize(blocks[k], grid).values
-        acc += np.abs(vals) ** 2
-    return float(np.mean(np.sqrt(acc)))
+    if p.dim != 1:
+        raise ValueError("the periodic square function is defined for dim 1")
+    (grid,) = _checked_sizes(p.degrees, grid_size(p.degree, SUP_L1_FACTOR))
+    spec = np.zeros(grid, dtype=np.complex128)
+    np.add.at(spec, p.freqs[:, 0] % grid, p.values)
+    # the bins hold the frequencies 1 <= |n| < grid / 2 of the blocks -1 .. log2(grid) - 2
+    xi = np.fft.fftfreq(grid, d=1.0 / grid)
+    blocks = _dyadic_blocks(spec, xi, range(-1, grid.bit_length() - 2), "forward")
+    return float(np.mean(_square_function(blocks, grid)))

@@ -23,8 +23,14 @@ def eta(xi):
 
 
 def eta_scaled(xi, k):
-    """eta(2**-k * xi), computed as a division so scales up to |k| ~ 1000
-    stay inside the float range."""
+    """eta(2**-k * xi), computed as a division by 2**k.
+
+    Exact for every finite xi and every integer k in -1074..1023, where 2**k
+    is a nonzero float: dividing by a power of two is exact unless the
+    quotient overflows (|xi| 2**-k > 3, where eta is 0) or loses bits below
+    the normal range (|xi| 2**-k < 1, where eta is 0 too).  Past 1023, 2**k
+    raises OverflowError; below -1074 it is 0, and the value at xi = 0 is
+    0/0.  torus._dyadic_blocks evaluates no scale outside the range."""
     return eta(np.asarray(xi, dtype=float) / 2.0 ** float(k))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -157,7 +158,11 @@ class TestExitCodes:
         (("zygmund-ratio", "--vp", "3", "--corpus", "-3"), "--corpus must be >= 0, got -3"),
         (("ingham", "--m-min", "12", "--m-max", "10"), "--m-max must be >= --m-min, got 12..10"),
         (("ingham", "--m-min", "10", "--m-max", "10"),
-         "need at least 2 values of k to compare tails, got 10..10")])
+         "need at least 2 values of k to compare tails, got 10..10"),
+        (("rline-paley", "--k-min", "-1100", "--k-max", "2", "--corpus", "1"),
+         "density blocks must lie in -1022..1022, got -1100..2"),
+        (("rline-paley", "--measure", "atoms:3,1", "--k-min", "1100", "--k-max", "1200",
+          "--corpus", "1"), "block 1100 lies outside the validity band")])
     def test_degenerate_or_empty_request_rejected(self, capsys, argv, message):
         # one N, no N, one distinct p, no polynomial, no M or one M: nothing to fit or report
         assert main(list(argv)) == 1
@@ -204,6 +209,17 @@ class TestReports:
         lhs_wide = [row[1] for row in json.loads(wide)["rows"]]
         # blocks 0..1 hold the atom at 3 only; blocks 0..3 add the one at 10
         assert all(a < b for a, b in zip(lhs_narrow, lhs_wide))
+
+    def test_rline_paley_blocks_below_the_float_range(self, capsys):
+        # the square function skips blocks whose window holds no dual-grid point
+        argv = ("rline-paley", "--measure", "atoms:0.5,1;3,2", "--k-max", "2",
+                "--corpus", "1", "--format", "json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, low = run_cli(capsys, *argv, "--k-min", "-1100")
+        _, high = run_cli(capsys, *argv, "--k-min", "-10")
+        assert json.loads(low)["rows"] == json.loads(high)["rows"]
+        assert json.loads(low)["rows"][0][2] == 1.218465799045457
 
     def test_rline_paley_atoms_follow_k_range(self, capsys):
         argv = ("rline-paley", "--measure", "atoms:3,1;10,0.5", "--gap", "1",

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,16 @@ class TestBlocks:
         b = square_function_norm(s, (kr[0] - 5, kr[1]))
         assert abs(a - b) <= 0.01 * a
 
+    def test_blocks_below_the_float_range_are_skipped(self):
+        # blocks -1100..-11 hold no dual-grid point m/8 of the L = 4 corpus;
+        # from k = -1075 on down 2^k is 0 and eta_scaled(0, k) would be 0/0
+        s = random_mean_zero_corpus(1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = square_function_norm(s, (-1100, 2))
+            assert not lp_block(s, -1100).values.any()
+        assert got.hex() == square_function_norm(s, (-10, 2)).hex()
+
 
 class TestPaleyMeasure:
     def test_atoms_block_mass(self):
@@ -193,6 +204,20 @@ class TestPaleyMeasure:
         assert PaleyMeasure.from_atoms([]).block_masses(-3, 2) == [0.0] * 6
         dens = PaleyMeasure.inverse_abs(-5, 5)
         assert dens.block_masses(-7, 7) == [dens.block_mass(k) for k in range(-7, 8)]
+
+    @pytest.mark.parametrize("density", [lambda xi: 1.0 / xi, lambda xi: np.exp(-xi) + xi ** 2,
+                                         lambda xi: np.sqrt(xi), lambda xi: np.cos(xi) ** 2])
+    def test_density_block_masses_keep_the_bits_of_each_block_alone(self, density):
+        mu = PaleyMeasure.from_density(density, -6, 8)
+        for k_lo, k_hi in ((-40, 12), (5, 2), (0, 1000), (-6, 8), (3, 3), (-9, -7)):
+            want = [realline._sum_by_block(mu._nodes((k, k))[1]) for k in range(k_lo, k_hi + 1)]
+            assert repr(mu.block_masses(k_lo, k_hi)) == repr(want)
+
+    def test_density_blocks_outside_the_normal_range_rejected(self):
+        assert PaleyMeasure.inverse_abs(-1022, 1022).block_mass(-1022) > 0
+        for k_min, k_max in ((-1023, 0), (-1100, 2), (0, 1023)):
+            with pytest.raises(ValueError, match="density blocks must lie in -1022..1022"):
+                PaleyMeasure.inverse_abs(k_min, k_max)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

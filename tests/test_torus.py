@@ -12,8 +12,7 @@ from paleyzyg import (Ensemble, FrequencySet, GridSignal, MultiplierSeq, TrigPol
                       sidon_weight_divergence, lp_norm, orlicz_functional,
                       periodic_square_function_norm, synthesize, vallee_poussin, weighted_l2,
                       zygmund_ratio)
-from paleyzyg import extremals, torus
-from paleyzyg.torus import square_function_blocks
+from paleyzyg import extremals, torus, window
 
 
 def random_poly(rng, dim, degree, count):
@@ -134,6 +133,14 @@ def plain_samples(n, c, M):
     return np.fft.ifft(spec, norm="forward")
 
 
+def assembled_samples(n, c, M):
+    """The blocks of _sample_blocks for the table {n: c} on M points, put in
+    grid order: read as a row-major array of its rows, the grid is the
+    blocks side by side."""
+    blocks = [b.copy() for b in torus._sample_blocks(n[:, None], c, M)]
+    return np.concatenate(blocks, axis=1).reshape(M)
+
+
 def split_table(M, S):
     """S seeded terms whose frequencies coincide mod _SPLIT_ROWS, alias mod M
     and have both signs."""
@@ -171,13 +178,16 @@ class TestSynthesize:
     @pytest.mark.parametrize("M", [1 << 15, 1 << 16])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_split_matches_the_plain_scatter(self, M, extra):
+        # _sample is the plain scatter at every size; the blocks of
+        # _sample_blocks take the split on large grids
         R = torus._SPLIT_ROWS
         S = R // 4 + extra
         n, c = split_table(M, S)
         spec = np.zeros(M, dtype=np.complex128)
         np.add.at(spec, n % M, c)
         plain = np.fft.ifft(spec) * M
-        got = torus._sample(n[:, None], c, (M,))
+        assert np.array_equal(torus._sample(n[:, None], c, (M,)), plain)
+        got = assembled_samples(n, c, M)
         if M >= torus._SPLIT_MIN_POINTS and S <= R // 4:
             assert not np.array_equal(got, plain)  # the split ran
             assert np.abs(got - plain).max() <= 1e-13 * np.abs(c).sum()
@@ -236,7 +246,7 @@ class TestStackedSample:
         freqs = rng.integers(-3 * max(sizes), 3 * max(sizes), (terms, len(sizes)))
         freqs[1:4] = freqs[0] + np.array(sizes)
         V = rng.standard_normal((rows, terms)) + 1j * rng.standard_normal((rows, terms))
-        V[1, ::3] = 0    # zeros, which one table drops before its blocks
+        V[1, ::3] = 0    # zeros, which the scatter skips
         return freqs, V
 
     @pytest.mark.parametrize("sizes", [(16,), (1 << 12,), (1 << 15,), (64, 32), (8, 16, 4)])
@@ -250,13 +260,13 @@ class TestStackedSample:
 
     @pytest.mark.parametrize("M", [1 << 16, 1 << 17])
     def test_rows_of_large_grids_agree(self, M):
-        # one table takes the split there; a stack takes one plain FFT per row
+        # where _sample_blocks takes its block forms, one table and a stack
+        # both take one plain FFT per row
         freqs, V = self.stack((M,))
         got = torus._sample(freqs, V, (M,))
         for row, v in zip(got, V):
-            one = torus._sample(freqs, v, (M,))
-            assert not np.array_equal(row, one)
-            assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
+            assert np.array_equal(row, torus._sample(freqs, v, (M,)))
+            assert np.array_equal(row, plain_samples(freqs[:, 0], v, M))
 
     @pytest.mark.parametrize("sizes", [(16,), (1 << 12,), (1 << 16,), (64, 32)])
     def test_zeros_are_not_scattered(self, sizes):
@@ -443,7 +453,8 @@ class TestBlockedReadings:
             vp = vallee_poussin(13)
             n, c = vp.freqs[:, 0], vp.values
         plain = plain_samples(n, c, M)
-        got = torus._sample(n[:, None], c, (M,))
+        assert np.array_equal(torus._sample(n[:, None], c, (M,)), plain)
+        got = assembled_samples(n, c, M)
         assert not np.array_equal(got, plain)  # a block form ran
         assert np.abs(got - plain).max() <= 1e-14 * np.abs(plain).max()
 
@@ -518,11 +529,41 @@ class TestWeightedL2:
         assert weighted_l2(p, m) <= m.sup_norm() * lp_norm(s, 2) + 1e-12
 
 
+def dyadic_blocks_by_scale(p, ks):
+    """{k: Delta_k} over the _dyadic_blocks of p's table, one scatter on its
+    square-function grid, for the k in ks that are not skipped."""
+    grid = torus.grid_size(p.degree, torus.SUP_L1_FACTOR)
+    spec = np.zeros(grid, dtype=np.complex128)
+    np.add.at(spec, p.freqs[:, 0] % grid, p.values)
+    xi = np.fft.fftfreq(grid, d=1.0 / grid)
+    return {k: block for k in ks for block in torus._dyadic_blocks(spec, xi, [k], "forward")}
+
+
+def per_block_square_function_norm(p):
+    """periodic_square_function_norm block by block, the reference for its
+    one scatter: one table per block, each sampled by the blocks of
+    _sample_blocks (the split or decimation on grids of 2^16 points or more)."""
+    n = p.freqs[:, 0]
+    grid = torus.grid_size(p.degree, torus.SUP_L1_FACTOR)
+    acc = np.zeros(grid)
+    mags = np.abs(n[n != 0])
+    for k in window.blocks_meeting(int(mags.min()), int(mags.max())):
+        w = window.eta_scaled(n, k)
+        keep = w != 0.0
+        if keep.any():
+            acc += np.abs(assembled_samples(n[keep], w[keep] * p.values[keep], grid)) ** 2
+    return float(np.mean(np.sqrt(acc)))
+
+
 class TestSquareFunction:
     def test_single_character_blocks(self):
-        blocks = square_function_blocks(TrigPoly(1, {2: 1.0}))
-        assert set(blocks) <= {0, 1}
-        assert periodic_square_function_norm(TrigPoly(1, {2: 1.0})) <= math.sqrt(2) + 1e-12
+        # n = 2 meets only blocks 0 and 1, and sits on the edge of block 1,
+        # where the window is 0: block 1 is skipped
+        p = TrigPoly(1, {2: 1.0})
+        blocks = dyadic_blocks_by_scale(p, range(-3, 8))
+        assert set(blocks) == {0}
+        assert np.abs(np.abs(blocks[0]) - 1.0).max() <= 1e-15
+        assert periodic_square_function_norm(p) <= math.sqrt(2) + 1e-12
 
     def test_zero_polynomial(self):
         assert periodic_square_function_norm(TrigPoly(1, {})) == 0.0
@@ -535,11 +576,30 @@ class TestSquareFunction:
 
     def test_split_frequency_two_blocks(self):
         # n = 5 meets two windows with weights 1/2 each
-        blocks = square_function_blocks(TrigPoly(1, {5: 1.0}))
-        weights = sorted(abs(b.coeffs[5]) for b in blocks.values())
-        assert weights == pytest.approx([0.5, 0.5])
+        blocks = dyadic_blocks_by_scale(TrigPoly(1, {5: 1.0}), range(-3, 8))
+        assert set(blocks) == {1, 2}
+        for block in blocks.values():
+            assert np.abs(np.abs(block) - 0.5).max() <= 1e-15
         val = periodic_square_function_norm(TrigPoly(1, {5: 1.0}))
         assert val == pytest.approx(math.sqrt(0.5), rel=1e-9)
+
+    @pytest.mark.parametrize("degree, count", [(3, 4), (100, 60), (1000, 40), (4000, 900)])
+    def test_one_scatter_keeps_the_bits_of_the_per_block_tables(self, degree, count):
+        # below 2^16 points every block table is one plain FFT
+        p = random_poly(np.random.default_rng([degree, count]), 1, degree, count)
+        assert torus.grid_size(p.degree, torus.SUP_L1_FACTOR) < torus._SPLIT_MIN_POINTS
+        assert periodic_square_function_norm(p) == per_block_square_function_norm(p)
+
+    @pytest.mark.parametrize("table", ["sparse", "vallee_poussin"])
+    def test_per_block_tables_on_large_grids(self, table):
+        # there the block tables took the split or decimation
+        if table == "sparse":
+            p = random_poly(np.random.default_rng(19), 1, 12000, 40)
+        else:
+            p = vallee_poussin(12)
+        assert torus.grid_size(p.degree, torus.SUP_L1_FACTOR) >= torus._SPLIT_MIN_POINTS
+        want = per_block_square_function_norm(p)
+        assert periodic_square_function_norm(p) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestGridSize:
@@ -567,6 +627,7 @@ class TestBudget:
                                    FrequencySet(1, frozenset([1, 2, 4, 8])),
                                    Ensemble("flat")), 512),
         (lambda: even_p_ratio({0: 1.0, 9: 1.0}, 16), 128),
+        (lambda: periodic_square_function_norm(TrigPoly(1, {9: 1.0})), 128),
     ])
     def test_over_cap_names_the_size(self, call, size):
         with pytest.raises(ValueError, match=f"needs {size} points, over the budget of 64"):
