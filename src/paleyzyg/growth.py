@@ -79,17 +79,23 @@ _SIGNS = np.array([-1.0 + 0j, 1.0 + 0j])
 
 
 def _draw_factors(ensemble, size):
-    """The per-term factors of every member, (members, size): row t from
-    default_rng([seed, t]), one all-ones row for a deterministic kind."""
+    """The per-term factors of every member, (members, size); one all-ones
+    row for a deterministic kind.  Row t is what default_rng([seed, t])
+    draws, read off the raw words of its PCG64: a sign,
+    _SIGNS[rng.integers(0, 2)] (the call rng.choice(_SIGNS) makes), is bit
+    31 of the next 32-bit half word, low half first, since Lemire's draw on
+    two values never rejects; a phase's uniform, rng.random(), is the top 53
+    bits of the next word over 2^53."""
     if ensemble.kind not in ("random-signs", "steinhaus"):
         return np.ones((1, size), dtype=np.complex128)
-    rows = []
-    for t in range(ensemble.trials):
-        rng = np.random.default_rng([ensemble.seed, t])
-        # rng.choice(_SIGNS, size) makes this very call: the same stream
-        rows.append(_SIGNS[rng.integers(0, 2, size=size)]
-                    if ensemble.kind == "random-signs" else np.exp(2j * np.pi * rng.random(size)))
-    return np.stack(rows)
+    signs = ensemble.kind == "random-signs"
+    count = (size + 1) // 2 if signs else size
+    words = np.stack([np.random.PCG64([ensemble.seed, t]).random_raw(count)
+                      for t in range(ensemble.trials)])
+    if signs:
+        bits = np.stack([(words >> 31) & 1, words >> 63], axis=2)
+        return _SIGNS[bits.reshape(ensemble.trials, -1)[:, :size]]
+    return np.exp(2j * np.pi * ((words >> 11) * 2.0 ** -53))
 
 
 class PlainSpectrum:

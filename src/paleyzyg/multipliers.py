@@ -61,10 +61,12 @@ class MultiplierSeq:
         return complex(self.values_at([n])[0])
 
     def values_at(self, ns):
-        """m(n) for every n of an integer array, as a complex array of its shape."""
+        """m(n) for every n of an integer array, as an array of its shape:
+        float64 for the real forms, 'inverse-sqrt' and 'indicator', and
+        complex128 for 'constant' and 'table'."""
         ns = np.asarray(ns, dtype=np.int64)
         if self.form == "inverse-sqrt":
-            out = np.zeros(ns.shape, dtype=np.complex128)
+            out = np.zeros(ns.shape)
             mask = ns > 0 if self.params["positive_only"] else ns != 0
             out[mask] = 1.0 / np.sqrt(np.abs(ns[mask]).astype(float))
             return out
@@ -73,7 +75,7 @@ class MultiplierSeq:
         if self.form == "indicator":
             members = np.fromiter(self.params["set"], dtype=np.int64,
                                   count=len(self.params["set"]))
-            return np.isin(ns, members).astype(np.complex128)
+            return np.isin(ns, members).astype(np.float64)
         if self.form == "table":
             tbl = self.params["values"]
             return np.array([tbl.get(n, 0j) for n in ns.ravel().tolist()],

@@ -25,8 +25,11 @@ on N = 2M grid points, with S = _SPREAD = 14 bins on each side of a node:
    where the weight's exponent, (pi/M)^2 (u - m)^2 / (4 tau), does not
    depend on M.
 
-That is one 2M-point FFT per call and 2S terms per node: 0.8 ms for the
-1,920 nodes of blocks -10..4 at M = 2048.  Against the dense sum
+That is one 2M-point FFT per call and 2S terms per node, summed in passes
+of 128 nodes whose temporaries stay under the allocator's 128 KiB trim
+threshold (_PASS_BYTES), so that steady calls take no page faults: 0.5 to
+0.8 ms, as the machine's load varies, for the 1,920 nodes of blocks -10..4
+at M = 2048.  Against the dense sum
 (``_kernels.nudft``) the error is at most 2.1e-14 h ||f||_1 over M = 16 ..
 2^15 and L = 0.5, 4, 64, 2,003 nodes each (measured; an exact evaluation in
 Cooley-Tukey factored form is itself 3.1e-14 off at 2^15, from rounding).
@@ -116,10 +119,32 @@ def _check_band(s: CompactSignal, freqs):
 
 
 # The Gaussian gridding of _nufft: _SPREAD grid bins on each side of a node,
-# and at most _PASS nodes per pass, which keeps each pass's temporaries at
-# about 230 KB, in cache.
+# and passes of _PASS nodes.  A pass holds a float weight and a complex term
+# for each of a node's 2 _SPREAD taps, 24 bytes a tap, and _PASS is the
+# largest power of two of nodes that keeps them under _PASS_BYTES, glibc's
+# default mmap and trim threshold: a pass that frees more than that at once
+# returns its pages to the system, and the next pass faults them in again.
 _SPREAD = 14
-_PASS = 512
+_PASS_BYTES = 128 * 1024
+_PASS = 1 << ((_PASS_BYTES // (24 * 2 * _SPREAD)).bit_length() - 1)
+_TAPS = np.arange(1.0 - _SPREAD, _SPREAD + 1.0)
+
+
+def _grid_pass(rows, frac, first, out):
+    """One pass of _nufft: out[j] is the sum over the taps t of
+    e^{-3 pi (frac[j, 0] - t)^2 / (4 S)} rows[first[j], t], for the nodes
+    of the pass, which lie frac[j, 0] into their bin; rows[m] is the window
+    of 2 S spectrum bins that starts at bin m."""
+    weights = frac - _TAPS
+    weights *= weights
+    weights *= -0.75 * np.pi / _SPREAD
+    np.exp(weights, out=weights)
+    terms = rows[first]
+    # the parts one by one, the same products: terms *= weights would cast
+    # the weights through a complex buffer as large as terms
+    terms.real *= weights
+    terms.imag *= weights
+    np.add.reduce(terms, axis=1, out=out)
 
 
 def _nufft(s: CompactSignal, freqs) -> np.ndarray:
@@ -128,28 +153,33 @@ def _nufft(s: CompactSignal, freqs) -> np.ndarray:
     other nodes of the call."""
     M = s.size
     # e^{tau n^2} for the centred index n, with tau M^2 = pi S / 3
-    n_over_m = np.arange(-(M // 2), M // 2) / M
-    deconvolved = s.values * np.exp((np.pi * _SPREAD / 3) * n_over_m ** 2)
+    deconvolved = s.values * np.exp((np.pi * _SPREAD / 3)
+                                    * (np.arange(-(M // 2), M // 2) / M) ** 2)
     padded = np.zeros(2 * M, dtype=np.complex128)
     padded[:M // 2] = deconvolved[M // 2:]
     padded[-(M // 2):] = deconvolved[:M // 2]
+    # drop each array once read: held to the end of the call, they would be
+    # freed together, over _PASS_BYTES at once, and in some heap layouts the
+    # next call would fault their pages in again
+    del deconvolved
     spectrum = np.fft.fft(padded)
+    del padded
     edge = M // 2 + _SPREAD
     spectrum = np.concatenate([spectrum[-edge:], spectrum[:edge + 1]])
+    # row m: the 2 S bins from bin m on, a view (sliding_window_view without
+    # its 10 us of checks)
+    rows = np.lib.stride_tricks.as_strided(
+        spectrum, (spectrum.size + 1 - 2 * _SPREAD, 2 * _SPREAD), 2 * spectrum.strides,
+        writeable=False)
+    # each node's bin, its offset in the bin and the row of its first tap,
+    # once per call
     u = (4.0 * s.half_width) * freqs     # N x = 2 M h xi = 4 L xi, in bins
-    taps = np.arange(1 - _SPREAD, _SPREAD + 1)
+    lo = np.floor(u)
+    frac = (u - lo)[:, None]
+    first = lo.astype(np.int64) + (1 - _SPREAD + edge)
     out = np.empty(freqs.shape, dtype=np.complex128)
     for i in range(0, freqs.size, _PASS):
-        ui = u[i:i + _PASS]
-        lo = np.floor(ui)
-        # in place: one real and one complex (nodes, 2 _SPREAD) temporary
-        weights = (ui - lo)[:, None] - taps
-        weights *= weights
-        weights *= -0.75 * np.pi / _SPREAD
-        np.exp(weights, out=weights)
-        terms = spectrum[lo.astype(np.int64)[:, None] + (taps + edge)]
-        terms *= weights
-        out[i:i + _PASS] = terms.sum(axis=1)
+        _grid_pass(rows, frac[i:i + _PASS], first[i:i + _PASS], out[i:i + _PASS])
     return (0.5 * s.h * math.sqrt(3.0 / _SPREAD)) * out
 
 

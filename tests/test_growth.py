@@ -335,7 +335,7 @@ class TestPhaseAscent:
 
 
 class TestDraws:
-    """A draw is the whole ensemble: row t is member t, drawn from default_rng([seed, t])."""
+    """A draw is the whole ensemble: row t is member t, what default_rng([seed, t]) draws."""
 
     @staticmethod
     def _alone(kind, seed, t, size):
@@ -344,15 +344,29 @@ class TestDraws:
             return rng.choice(np.array([-1.0 + 0j, 1.0 + 0j]), size=size)
         return np.exp(2j * np.pi * rng.random(size))
 
-    @pytest.mark.parametrize("seed, trials, size", [(0, 3, 6), (101, 32, 8), (2 ** 31 + 7, 4, 16)])
+    # odd sizes leave a half word unread, trials=1 draws t = 0 alone, and
+    # seeds from 2^32 on take two words of the seed sequence's entropy
+    _STREAMS = [(0, 3, 6), (101, 32, 8), (2 ** 31 + 7, 4, 16), (5, 1, 1), (7, 2, 7),
+                (2 ** 32, 3, 9), (2 ** 40 + 3, 2, 33), (2 ** 64 + 1, 1, 5)]
+
+    @pytest.mark.parametrize("seed, trials, size", _STREAMS)
     def test_sign_rows_are_the_stream_of_choice(self, seed, trials, size):
-        # the sign rows index [-1, 1] by rng.integers(0, 2, size), the call
-        # rng.choice makes: a numpy that changes either fails here instead of
-        # drifting every random-signs value
+        # the sign rows are read off the raw PCG64 words as the draws
+        # rng.integers(0, 2, size) that rng.choice makes: a numpy that changes
+        # either fails here instead of drifting every random-signs value
         V = growth._draw_factors(Ensemble("random-signs", seed=seed, trials=trials), size)
         assert V.shape == (trials, size)
         for t, row in enumerate(V):
             assert np.array_equal(row, np.random.default_rng([seed, t]).choice([-1, 1], size))
+
+    @pytest.mark.parametrize("seed, trials, size", _STREAMS)
+    def test_phase_rows_are_the_stream_of_random(self, seed, trials, size):
+        # likewise the steinhaus rows, from the draws rng.random(size)
+        V = growth._draw_factors(Ensemble("steinhaus", seed=seed, trials=trials), size)
+        assert V.shape == (trials, size)
+        for t, row in enumerate(V):
+            uniforms = np.random.default_rng([seed, t]).random(size)
+            assert np.array_equal(row, np.exp(2j * np.pi * uniforms))
 
     @pytest.mark.parametrize("kind", ["random-signs", "steinhaus"])
     def test_plain_rows_are_the_members_drawn_alone(self, kind):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from paleyzyg import (FrequencySet, MultiplierSeq, TrigPoly, apply, block_counts,
-                      h1_paley_ratio, paley_block_sums)
+                      h1_paley_ratio, paley_block_sums, weighted_l2)
 
 
 class TestForms:
@@ -17,6 +17,26 @@ class TestForms:
         assert m.value_at(-4) == pytest.approx(0.5)
         one_sided = MultiplierSeq.inverse_sqrt(100, positive_only=True)
         assert one_sided.value_at(-4) == 0
+
+    def test_real_forms_are_float_arrays(self):
+        # inverse-sqrt and indicator are float64, constant and table complex128;
+        # a real multiplier gives the bits a complex one with zero imaginary
+        # parts gave, in apply and weighted_l2
+        ns = np.arange(-40, 41)
+        real = [MultiplierSeq.inverse_sqrt(64), MultiplierSeq.inverse_sqrt(64, positive_only=True),
+                MultiplierSeq.indicator(FrequencySet(1, frozenset([-9, 1, 3, 27])), horizon=64)]
+        for m in real:
+            assert m.values_at(ns).dtype == np.float64
+            assert m.values_at(np.zeros((2, 0), dtype=int)).shape == (2, 0)
+        assert MultiplierSeq.constant(2, 64).values_at(ns).dtype == np.complex128
+        assert MultiplierSeq.table({1: 0.5j}).values_at(ns).dtype == np.complex128
+        rng = np.random.default_rng(3)
+        p = TrigPoly.from_arrays(1, ns, rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size))
+        n = p.freqs[:, 0]
+        for m in real:
+            product = m.values_at(n).astype(np.complex128) * p.values
+            assert np.array_equal(apply(m, p).values, TrigPoly.from_arrays(1, n, product).values)
+            assert weighted_l2(p, m) == math.sqrt(float(np.sum(np.abs(product) ** 2)))
 
     def test_sup_norms(self):
         assert MultiplierSeq.inverse_sqrt(10).sup_norm() == 1.0

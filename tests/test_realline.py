@@ -1,6 +1,9 @@
 """Compact signals, dyadic blocks, Paley measures, and the line harnesses."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -308,7 +311,8 @@ class TestBlockTables:
         for s in random_mean_zero_corpus(3):
             whole = fourier_transform(s, xs)
             P = realline._PASS
-            for lo, hi in ((0, 1), (7, 8), (300, P + 300), (P - 1, P + 1), (1000, xs.size)):
+            for lo, hi in ((0, 1), (7, 8), (P // 2, P + P // 2), (P - 1, P + 1),
+                           (P - 5, 3 * P + 2), (1000, xs.size)):
                 assert np.array_equal(fourier_transform(s, xs[lo:hi]), whole[lo:hi])
             assert np.array_equal(fourier_transform(s, xs[::-1]), whole[::-1])
             for k_range in ((-10, 4), (-2, 4)):
@@ -316,6 +320,47 @@ class TestBlockTables:
                 for k in range(k_range[0], k_range[1] + 1):
                     total += mu_l2_sq(mu, s, (k, k))
                 assert mu_l2_sq(mu, s, k_range) == total
+
+    def test_a_pass_fits_its_byte_budget(self):
+        # _PASS is the largest power of two of nodes whose weights and terms,
+        # 24 bytes a tap, fit in _PASS_BYTES; tracemalloc sees all that a
+        # pass allocates, numpy's casting buffers included
+        S, P, budget = realline._SPREAD, realline._PASS, realline._PASS_BYTES
+        assert P & (P - 1) == 0 and P * 2 * S * 24 <= budget < 2 * P * 2 * S * 24
+        rows = np.lib.stride_tricks.sliding_window_view(np.ones(4 * P, complex), 2 * S)
+        frac, first = np.linspace(0.0, 0.99, P)[:, None], 3 * np.arange(P)
+        out = np.empty(P, dtype=complex)
+        realline._grid_pass(rows, frac, first, out)
+        tracemalloc.start()
+        try:
+            realline._grid_pass(rows, frac, first, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the budget is glibc's default trim threshold")
+    def test_steady_calls_take_no_page_faults(self):
+        # a fresh interpreter, whose allocator thresholds no other test has
+        # moved; with 512-node passes each call took 150 to 200 minor faults
+        probe = (
+            "import resource\n"
+            "from paleyzyg import PaleyMeasure, mu_l2_sq, random_mean_zero_corpus\n"
+            "mu = PaleyMeasure.inverse_abs(-10, 4)\n"
+            "s = random_mean_zero_corpus(1)[0]\n"
+            "for _ in range(5):\n"
+            "    mu_l2_sq(mu, s)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    mu_l2_sq(mu, s)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(realline.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        assert int(run.stdout) <= 8
 
     @pytest.mark.parametrize("k_range", [None, (-2, 4)])
     def test_mu_l2_sq_matches_the_dense_sum_at_its_nodes(self, k_range):
