@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import FrequencySet
-from .torus import TrigPoly, check_budget, periodic_square_function_norm, weighted_l2
+from .torus import (TrigPoly, _chunked_sum, check_budget, periodic_square_function_norm,
+                    weighted_l2)
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,12 @@ class MultiplierSeq:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.form == "indicator":
+            # the set as one sorted array, which values_at searches: a call
+            # then costs O(log |set|) a point, with no O(|set|) set-up, so
+            # chunked callers (paley_block_sums) may call it many times
+            object.__setattr__(self, "_members",
+                               np.array(sorted(self.params["set"]), dtype=np.int64))
 
     @staticmethod
     def inverse_sqrt(horizon, positive_only=False):
@@ -73,9 +80,11 @@ class MultiplierSeq:
         if self.form == "constant":
             return np.full(ns.shape, self.params["value"], dtype=np.complex128)
         if self.form == "indicator":
-            members = np.fromiter(self.params["set"], dtype=np.int64,
-                                  count=len(self.params["set"]))
-            return np.isin(ns, members).astype(np.float64)
+            if not self._members.size:
+                return np.zeros(ns.shape)
+            # members[at - 1] <= n < members[at]; at = 0 reads members[0] > n
+            at = np.searchsorted(self._members, ns, side="right")
+            return (self._members.take(at - 1, mode="clip") == ns).astype(np.float64)
         if self.form == "table":
             tbl = self.params["values"]
             return np.array([tbl.get(n, 0j) for n in ns.ravel().tolist()],
@@ -115,11 +124,23 @@ def _diverging(sums):
     return half[-1] > half[0]
 
 
+def _abs_squares(m, first, step):
+    """The fill, for _chunked_sum, of the terms |m(first + step * i)|^2."""
+    def fill(lo, out):
+        start = first + step * lo
+        np.abs(m.values_at(np.arange(start, start + step * len(out), step)), out=out)
+        out **= 2
+    return fill
+
+
 def paley_block_sums(m: MultiplierSeq, K) -> PaleyReport:
     """Block sums s_k = sum_{2^k <= |n| <= 2^{k+1}} |m(n)|^2 for k = 0..K.
 
     Blocks are inclusive at both dyadic endpoints (overlap at powers of two
-    affects constants only).  Requires 2^(K+1) <= horizon.
+    affects constants only).  Requires 2^(K+1) <= horizon.  Each s_k is the
+    sum over n > 0 plus the sum over n < 0, each summed by _chunked_sum in
+    a prefix of one buffer of 2^K + 1 floats, with the bits of
+    np.sum(np.abs(m.values_at(ns)) ** 2) over the whole half-block.
     """
     K = int(K)
     if K < 0:
@@ -127,13 +148,12 @@ def paley_block_sums(m: MultiplierSeq, K) -> PaleyReport:
     if 2 ** (K + 1) > m.horizon:
         raise ValueError(f"horizon {m.horizon} too small for K={K}; need >= {2 ** (K + 1)}")
     check_budget(2 ** K + 1, f"block {K}")
+    buf = np.empty(2 ** K + 1)
     sums = []
     for k in range(K + 1):
-        ns = np.arange(2 ** k, 2 ** (k + 1) + 1, dtype=np.int64)
-        vals = m.values_at(ns)
-        s = float(np.sum(np.abs(vals) ** 2))
-        vals_neg = m.values_at(-ns)
-        s += float(np.sum(np.abs(vals_neg) ** 2))
+        run = buf[:2 ** k + 1]
+        s = _chunked_sum(run, _abs_squares(m, 2 ** k, 1))
+        s += _chunked_sum(run, _abs_squares(m, -2 ** k, -1))
         sums.append(s)
     sup = max(sums)
     verdict = "diverging" if _diverging(sums) else "bounded-up-to-horizon"

@@ -83,7 +83,8 @@ class TrigPoly:
         """The table {freqs[i]: values[i]} without building that dict first:
         freqs holds the keys as an array, (n,) for dim 1 and (n, dim)
         otherwise, and is validated as the keys of a dict are; a frequency
-        may repeat only with zero coefficients."""
+        may repeat only with zero coefficients.  The arrays may become the
+        table's own, uncopied (see _set_table): do not write to them after."""
         p = cls.__new__(cls)
         object.__setattr__(p, "dim", dim)
         p._set_table(np.asarray(freqs), np.asarray(values, dtype=np.complex128))
@@ -94,7 +95,13 @@ class TrigPoly:
 
     def _set_table(self, freqs, values, keys=None):
         """Validate the keys (as the array freqs) and the coefficients, then
-        store the table, zero coefficients dropped, as freqs/values."""
+        store the table, zero coefficients dropped, as freqs/values.
+
+        No table-sized copy is made on the way: int64 freqs and complex128
+        values with no zero coefficient are stored as given, and so belong
+        to the table from then on; a repeated frequency is found on one
+        sorted copy of the frequencies (np.sort for dim 1, a row gather in
+        lexicographic order otherwise)."""
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         n = len(freqs)
@@ -104,13 +111,14 @@ class TrigPoly:
             raise _key_error(freqs.tolist() if keys is None else keys, self.dim)
         if values.shape != (n,):
             raise ValueError(f"{values.size} coefficients for {n} frequencies")
-        freqs = freqs.astype(np.int64).reshape(n, self.dim)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise ValueError(f"non-finite coefficient at {self._key(freqs[np.argmax(bad)])!r}")
+        freqs = freqs.astype(np.int64, copy=False).reshape(n, self.dim)
+        if not np.isfinite(values).all():
+            first = np.argmin(np.isfinite(values))
+            raise ValueError(f"non-finite coefficient at {self._key(freqs[first])!r}")
         keep = values != 0
-        freqs, values = freqs[keep], values[keep]
-        ordered = freqs[_lex_order(freqs)]
+        if not keep.all():
+            freqs, values = freqs[keep], values[keep]
+        ordered = np.sort(freqs, axis=0) if self.dim == 1 else freqs[_lex_order(freqs)]
         dup = (ordered[1:] == ordered[:-1]).all(axis=1)
         if dup.any():
             raise ValueError(f"frequency {self._key(ordered[np.argmax(dup)])!r} "
@@ -309,7 +317,7 @@ def _sample_blocks(freqs, values, M):
     if D < _DECIMATE_MIN_BLOCKS or M // D > _DECIMATE_MAX_POINTS:
         spec = np.zeros(M, dtype=np.complex128)
         np.add.at(spec, n % M, values)
-        yield np.fft.ifft(spec, norm="forward")[:, None]
+        yield np.fft.ifft(spec, norm="forward", out=spec)[:, None]
         return
     L = M // D
     bins = n % L
@@ -466,15 +474,48 @@ def orlicz_functional(s: GridSignal, r) -> float:
     return _abs_readings([s.values], s.npoints, [_orlicz_term(r)])[0]
 
 
+# A long sum (_chunked_sum) makes its terms _SUM_CHUNK at a time, budgeted
+# at 64 bytes of temporaries a term (its callers take at most 40, measured
+# with tracemalloc), so a chunk's stay under _CHUNK_BYTES, glibc's default
+# mmap and trim threshold, as realline's passes do: they come and go inside
+# the heap, without page faults.
+_CHUNK_BYTES = 128 * 1024
+_SUM_CHUNK = _CHUNK_BYTES // 64
+
+
+def _chunked_sum(out, fill):
+    """np.sum of a run of len(out) float64 terms, made in the buffer out
+    in chunks of _SUM_CHUNK: fill(lo, chunk) writes the terms lo ..
+    lo + len(chunk) - 1 into chunk, the view out[lo:lo + len(chunk)].
+
+    The array summed holds the terms a whole-run expression would make, so
+    the sum, in numpy's pairwise order, has its bits; the run holds out and
+    one chunk's temporaries, not several arrays of its length.  out may be
+    a prefix view of a longer buffer, reused from one run to the next.
+    """
+    for lo in range(0, len(out), _SUM_CHUNK):
+        fill(lo, out[lo:lo + _SUM_CHUNK])
+    return float(np.sum(out))
+
+
 def weighted_l2(p: TrigPoly, m) -> float:
     """(sum over supp(p) of |m(n) f_hat(n)|**2)**(1/2), dim 1 only.
 
     ``m`` is anything exposing values_at(ns) (see multipliers.MultiplierSeq).
+    The squares are summed by _chunked_sum, with the bits of
+    np.sum(np.abs(m.values_at(n) * f_hat) ** 2) over the whole table, and
+    hold one float per term of the table.
     """
     if p.dim != 1:
         raise ValueError("weighted_l2 is defined for dim 1")
-    weighted = m.values_at(p.freqs[:, 0]) * p.values
-    return math.sqrt(float(np.sum(np.abs(weighted) ** 2)))
+    n, values = p.freqs[:, 0], p.values
+
+    def fill(lo, out):
+        hi = lo + len(out)
+        np.abs(m.values_at(n[lo:hi]) * values[lo:hi], out=out)
+        out **= 2
+
+    return math.sqrt(_chunked_sum(np.empty(len(values)), fill))
 
 
 def _dyadic_blocks(spec, xi, ks, norm):

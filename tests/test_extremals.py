@@ -41,10 +41,13 @@ class TestFejer:
 
 class TestValleePoussin:
     def test_closed_form_is_the_fejer_combination_exactly(self):
-        for N in range(1, 13):
-            big, small = fejer(2 ** (N + 1) - 1).coeffs, fejer(2 ** N - 1).coeffs
-            combo = {j: 2.0 * c - small.get(j, 0.0) for j, c in big.items()}
-            assert vallee_poussin(N).coeffs == combo
+        for N in range(1, 17):
+            big, small = fejer(2 ** (N + 1) - 1), fejer(2 ** N - 1)
+            combo = 2.0 * big.values
+            combo[2 ** N:-2 ** N] -= small.values
+            V = vallee_poussin(N)
+            assert np.array_equal(V.freqs, big.freqs) and V.values.dtype == np.complex128
+            assert np.array_equal(V.values, combo)
 
     def test_flat_coefficient_example(self):
         V = vallee_poussin(3)
@@ -155,6 +158,14 @@ class TestIngham:
         assert rep.partial_sum == pytest.approx(
             float(np.sum(1 / (n * np.log(n) ** 0.8))), rel=1e-12)
         assert rep.corrected_estimate > rep.integral_estimate
+
+    @pytest.mark.parametrize("c", [0.5, 0.8, 1.0])
+    def test_chunked_partial_sum_matches_the_whole_range_formula(self, c):
+        # summed in chunks of one buffer, with the bits of one expression
+        # over n = 2..M, for runs of one chunk, across an edge and of many
+        for M in (2, 2049, 2050, 10 ** 5 + 3):
+            n = np.arange(2, M + 1, dtype=float)
+            assert sidon_weight_divergence(c, M).partial_sum == float(np.sum(1.0 / (n * np.log(n) ** c)))
 
     def test_partial_sums_increase_in_m(self):
         a = sidon_weight_divergence(0.8, 10 ** 3).partial_sum

@@ -38,6 +38,13 @@ class TestForms:
             assert np.array_equal(apply(m, p).values, TrigPoly.from_arrays(1, n, product).values)
             assert weighted_l2(p, m) == math.sqrt(float(np.sum(np.abs(product) ** 2)))
 
+    def test_indicator_values_are_set_membership(self):
+        ns = np.arange(-60, 61).reshape(11, 11)
+        for members in ([], [0], [-9, 1, 3, 27], list(range(-60, 61, 7))):
+            m = MultiplierSeq.indicator(FrequencySet(1, frozenset(members)), horizon=64)
+            want = [[float(n in members) for n in row] for row in ns.tolist()]
+            assert m.values_at(ns).tolist() == want
+
     def test_sup_norms(self):
         assert MultiplierSeq.inverse_sqrt(10).sup_norm() == 1.0
         assert MultiplierSeq.constant(2j, 10).sup_norm() == 2.0
@@ -90,6 +97,27 @@ class TestBlockSums:
         r1, r2, rs = (paley_block_sums(m, 4) for m in (m1, m2, msum))
         for k in range(5):
             assert rs.block(k) == pytest.approx(r1.block(k) + r2.block(k), abs=1e-14)
+
+    @pytest.mark.parametrize("K", [0, 20])
+    def test_chunked_sums_match_the_whole_block_formula(self, K):
+        # every half-block summed in chunks of one buffer has the bits of one
+        # whole-block expression; from k = 11 on a half-block of 2^k + 1
+        # terms crosses a chunk edge
+        H = 2 ** (K + 1)
+        rng = np.random.default_rng(K)
+        keys = rng.integers(-H, H + 1, 3000).tolist()
+        forms = [MultiplierSeq.inverse_sqrt(H), MultiplierSeq.inverse_sqrt(H, positive_only=True),
+                 MultiplierSeq.constant(0.25 - 1.5j, H),
+                 MultiplierSeq.indicator(FrequencySet(1, frozenset(keys)), horizon=H),
+                 MultiplierSeq.table({n: complex(*rng.standard_normal(2)) for n in keys}, horizon=H)]
+        for m in forms:
+            whole = []
+            for k in range(K + 1):
+                ns = np.arange(2 ** k, 2 ** (k + 1) + 1, dtype=np.int64)
+                s = float(np.sum(np.abs(m.values_at(ns)) ** 2))
+                s += float(np.sum(np.abs(m.values_at(-ns)) ** 2))
+                whole.append(s)
+            assert paley_block_sums(m, K).block_sums == tuple(whole), m.form
 
     def test_indicator_sup_matches_block_counts(self):
         # away from powers of two the closed blocks agree with half-open counts

@@ -103,8 +103,8 @@ class TestTransform:
         assert fourier_transform(s, []).shape == (0,)
 
     def test_large_frequency_grid_is_blocked(self):
-        # 10,000 frequencies at M = 2^15 take 20 passes of 512 nodes and peak
-        # at 3.4 MB; one pass over all of them would peak at 11 MB.
+        # 10,000 frequencies at M = 2^15 take 79 passes of 128 nodes and peak
+        # at 2.1 MB; one pass over all of them would peak at 7.4 MB.
         rng = np.random.default_rng(11)
         M = 2 ** 15
         s = CompactSignal(rng.standard_normal(M) + 1j * rng.standard_normal(M), 4.0)
@@ -115,7 +115,7 @@ class TestTransform:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2 ** 20
+        assert peak < 3 * 2 ** 20
         pieces = [fourier_transform(s, freqs[i:i + 128]) for i in range(0, freqs.size, 128)]
         assert np.array_equal(got, np.concatenate(pieces))
 

@@ -1,6 +1,7 @@
 """Transforms, norms, and functionals on the torus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,6 +528,55 @@ class TestWeightedL2:
         m = MultiplierSeq.inverse_sqrt(64)
         s = synthesize(p, 128)
         assert weighted_l2(p, m) <= m.sup_norm() * lp_norm(s, 2) + 1e-12
+
+    def test_long_table_matches_the_whole_table_formula(self):
+        # the squares of a table of several chunks, summed in chunks, have
+        # the bits of one whole-table expression
+        rng = np.random.default_rng(19)
+        size = 3 * torus._SUM_CHUNK + 5
+        n = rng.permutation(np.arange(-2 * size, 2 * size))[:size]
+        p = TrigPoly.from_arrays(1, n, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        for m in (MultiplierSeq.inverse_sqrt(4 * size), MultiplierSeq.constant(0.5 - 2j, 4 * size),
+                  MultiplierSeq.indicator(FrequencySet(1, frozenset(n[::3].tolist())))):
+            whole = m.values_at(p.freqs[:, 0]) * p.values
+            assert weighted_l2(p, m) == math.sqrt(float(np.sum(np.abs(whole) ** 2)))
+
+
+def traced_peak(f):
+    """The tracemalloc peak, in bytes, of a call of f()."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Long sums hold their one output buffer and a chunk's temporaries
+    (_chunked_sum); tables are built with no table-sized temporary but one
+    sorted copy of the frequencies.  The figures in parentheses are those of
+    whole-array expressions."""
+
+    def test_block_sums_hold_one_buffer(self):
+        # 2^20 + 1 floats and under _CHUNK_BYTES more (41 MB with whole-block
+        # temporaries)
+        m = MultiplierSeq.inverse_sqrt(2 ** 21)
+        peak = traced_peak(lambda: paley_block_sums(m, 20))
+        assert peak < 8 * (2 ** 20 + 1) + torus._CHUNK_BYTES
+
+    def test_weighted_l2_holds_one_float_per_term(self):
+        # 8.0 MB on V_{2^18}, 2^20 - 1 terms (25 MB with whole-table temporaries)
+        vp = vallee_poussin(18)
+        m = MultiplierSeq.inverse_sqrt(2 ** 19)
+        peak = traced_peak(lambda: weighted_l2(vp, m))
+        assert peak < 8 * len(vp.values) + torus._CHUNK_BYTES
+
+    def test_vallee_poussin_holds_the_table_and_one_sorted_copy(self):
+        # the table, 24 bytes a term, is 24 MB at N = 18; one sorted copy of
+        # the frequencies and a few flag arrays bring it to 35 MB (66 MB with
+        # whole-table temporaries and copies)
+        assert traced_peak(lambda: vallee_poussin(18)) < 40 * 2 ** 20
 
 
 def dyadic_blocks_by_scale(p, ks):
