@@ -97,7 +97,7 @@ def sharpness_experiment(n_range, r_list=(0.25, 0.5)) -> SharpnessTable:
         vp = vallee_poussin(N)
         m = MultiplierSeq.inverse_sqrt(2 ** (N + 1))
         lhs.append(weighted_l2(vp, m))
-        M = grid_size(2 ** (N + 1) - 1, SUP_L1_FACTOR)     # the degree of V_{2^N}
+        M = grid_size(vp.degree, SUP_L1_FACTOR)
         grids.append(M)
         for r, value in zip(r_values, _grid_readings(vp.freqs, vp.values, M, terms)):
             phi[r].append(value)

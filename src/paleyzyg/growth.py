@@ -25,22 +25,25 @@ all-ones value, while ||f||_2^2 = |Lambda| is fixed.
 
 Structured spectra keep their generators: a k-fold signed sumset draws
 coefficients as products of per-term signs or phases (the order-k chaos
-supported on the sumset), and a tensor product draws one stack per axis:
-member t is the outer product of row t on every axis, a rank-one table
-whose p-th power means factor exactly across axes.  The fitted growth
+supported on the sumset), over the index tuples and sums of the one
+enumerator that spectra.sumset_bonami builds the sumset from, and a tensor
+product draws one stack per axis: member t is the outer product of row t on
+every axis, a rank-one table whose p-th power means factor exactly across
+axes.  The fitted growth
 exponent is the least-squares slope of the squared best ratios (energy
-ratios) against p.
+ratios) against p, by growth_exponent for every kind of spectrum.  The
+members of a random ensemble, times the width of the stack they feed, are
+checked against the budget before any is drawn.
 """
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, product
 
 import numpy as np
 
 from . import _kernels
 from .extremals import _ols_slope
-from .spectra import FrequencySet, LacunarySeq, product_set, sumset_bonami
+from .spectra import FrequencySet, LacunarySeq, _signed_sums, product_set, sumset_bonami
 # next_pow2 is unused here but stays bound: perfbench/tests checks that a
 # traced run rebinds a name one module imports from another.
 from .torus import (SUP_L1_FACTOR, TrigPoly, _grid_readings, _sample, check_budget,
@@ -78,16 +81,20 @@ class Ensemble:
 _SIGNS = np.array([-1.0 + 0j, 1.0 + 0j])
 
 
-def _draw_factors(ensemble, size):
+def _draw_factors(ensemble, size, width=None):
     """The per-term factors of every member, (members, size); one all-ones
     row for a deterministic kind.  Row t is what default_rng([seed, t])
     draws, read off the raw words of its PCG64: a sign,
     _SIGNS[rng.integers(0, 2)] (the call rng.choice(_SIGNS) makes), is bit
     31 of the next 32-bit half word, low half first, since Lemire's draw on
     two values never rejects; a phase's uniform, rng.random(), is the top 53
-    bits of the next word over 2^53."""
+    bits of the next word over 2^53.  The members times the width of the
+    stack they feed (default size) are checked against the budget before
+    any is drawn."""
     if ensemble.kind not in ("random-signs", "steinhaus"):
         return np.ones((1, size), dtype=np.complex128)
+    width = size if width is None else width
+    check_budget(ensemble.trials * width, f"{ensemble.trials} members of {width} terms")
     signs = ensemble.kind == "random-signs"
     count = (size + 1) // 2 if signs else size
     words = np.stack([np.random.PCG64([ensemble.seed, t]).random_raw(count)
@@ -136,11 +143,7 @@ class SumsetSpectrum:
         self.used_terms = used
         self._fset = fset
         self._freqs = np.array(fset.sorted_elements(), dtype=np.int64)
-        terms = np.array(base.terms[:used], dtype=np.int64)
-        self._combos = np.array(list(combinations(range(used), self.k)),
-                                dtype=np.intp).reshape(-1, self.k)
-        signs = np.array(list(product((1, -1), repeat=self.k)), dtype=np.int64)
-        sums = terms[self._combos] @ signs.T          # (tuples, patterns)
+        self._combos, sums = _signed_sums(base.terms[:used], self.k)
         self._bins = np.searchsorted(self._freqs, sums.ravel())
 
     @property
@@ -155,7 +158,7 @@ class SumsetSpectrum:
         n = len(self._freqs)
         if ensemble.kind == "phase-ascent":
             return self._freqs, np.ones((1, n), dtype=np.complex128)
-        eps = _draw_factors(ensemble, self.used_terms)
+        eps = _draw_factors(ensemble, self.used_terms, self._bins.size)
         amps = np.repeat(eps[:, self._combos].prod(axis=2), 2 ** self.k, axis=1)
         # row t accumulates into bins t * n .. t * n + n - 1
         bins = (self._bins + n * np.arange(len(eps))[:, None]).ravel()
@@ -345,9 +348,13 @@ def lambda_p_ratio(freqs, p, ensemble: Ensemble) -> float:
     return best_ratios(freqs, (p,), ensemble)[0]
 
 
-def _growth_report(spectrum, p_grid, ensembles) -> GrowthReport:
-    """Best ratio per p over every member of every ensemble, and the
-    energy-exponent fit."""
+def growth_exponent(spectrum, p_grid, ensembles) -> GrowthReport:
+    """Fit the growth exponent of the best ratios over a p grid.
+
+    ``ensembles`` is one Ensemble or a sequence; the best ratio per p is the
+    max over every member of every ensemble.
+    """
+    spectrum = as_spectrum(spectrum)
     if isinstance(ensembles, Ensemble):
         ensembles = (ensembles,)
     p_grid = tuple(_check_even_p(p) for p in p_grid)
@@ -367,15 +374,6 @@ def _growth_report(spectrum, p_grid, ensembles) -> GrowthReport:
         seed_info=";".join(f"{e.kind}:{e.seed}" for e in ensembles))
 
 
-def growth_exponent(spectrum, p_grid, ensembles) -> GrowthReport:
-    """Fit the growth exponent of the best ratios over a p grid.
-
-    ``ensembles`` is one Ensemble or a sequence; the best ratio per p is the
-    max over every member of every ensemble.
-    """
-    return _growth_report(as_spectrum(spectrum), p_grid, ensembles)
-
-
 def tensor_growth(factors, p_grid, ensembles) -> GrowthReport:
     """Growth exponent for a tensor-product spectrum (dims <= 3), probed per
     axis (see best_ratios; the identity is pinned against the full nD
@@ -383,7 +381,7 @@ def tensor_growth(factors, p_grid, ensembles) -> GrowthReport:
     spectrum = TensorSpectrum([as_spectrum(f) for f in factors])
     if spectrum.dim > 3:
         raise ValueError("tensor probes support dims <= 3")
-    return _growth_report(spectrum, p_grid, ensembles)
+    return growth_exponent(spectrum, p_grid, ensembles)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ when its dyadic block sums sup_k sum_{2^k <= |n| <= 2^{k+1}} |m(n)|^2 stay
 bounded; the report below evaluates those sums at dyadic endpoints (any
 interval [N, 2N] sits inside two dyadic blocks, so the dyadic sup is
 equivalent up to a factor 2).
+
+The tabulated forms, an indicator of a set and an explicit table, are one
+sorted key array and its values (float64 and complex128), built once and
+searched by ``values_at``: a chunk of points costs O(log |table|) a point.
 """
 
 import math
@@ -33,12 +37,16 @@ class MultiplierSeq:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.form == "indicator":
-            # the set as one sorted array, which values_at searches: a call
-            # then costs O(log |set|) a point, with no O(|set|) set-up, so
-            # chunked callers (paley_block_sums) may call it many times
-            object.__setattr__(self, "_members",
-                               np.array(sorted(self.params["set"]), dtype=np.int64))
+        if self.form in ("indicator", "table"):
+            # a call to values_at then has no O(|table|) set-up, so chunked
+            # callers (paley_block_sums) may call it many times
+            if self.form == "indicator":
+                table, dtype = dict.fromkeys(self.params["set"], 1.0), np.float64
+            else:
+                table, dtype = self.params["values"], np.complex128
+            keys = sorted(table)
+            object.__setattr__(self, "_keys", np.array(keys, dtype=np.int64))
+            object.__setattr__(self, "_values", np.array([table[n] for n in keys], dtype=dtype))
 
     @staticmethod
     def inverse_sqrt(horizon, positive_only=False):
@@ -79,25 +87,20 @@ class MultiplierSeq:
             return out
         if self.form == "constant":
             return np.full(ns.shape, self.params["value"], dtype=np.complex128)
-        if self.form == "indicator":
-            if not self._members.size:
-                return np.zeros(ns.shape)
-            # members[at - 1] <= n < members[at]; at = 0 reads members[0] > n
-            at = np.searchsorted(self._members, ns, side="right")
-            return (self._members.take(at - 1, mode="clip") == ns).astype(np.float64)
-        if self.form == "table":
-            tbl = self.params["values"]
-            return np.array([tbl.get(n, 0j) for n in ns.ravel().tolist()],
-                            dtype=np.complex128).reshape(ns.shape)
+        if self.form in ("indicator", "table"):
+            if not self._keys.size:
+                return np.zeros(ns.shape, dtype=self._values.dtype)
+            # keys[at] <= n < keys[at + 1]; at = -1 reads keys[0] > n
+            at = np.searchsorted(self._keys, ns, side="right") - 1
+            return np.where(self._keys.take(at, mode="clip") == ns,
+                            self._values.take(at, mode="clip"), 0)
         raise ValueError(f"unknown form {self.form!r}")
 
     def sup_norm(self):
         if self.form == "inverse-sqrt":
             return 1.0
-        if self.form == "indicator":
-            return 1.0 if self.params["set"] else 0.0
-        if self.form == "table":
-            return max((abs(c) for c in self.params["values"].values()), default=0.0)
+        if self.form in ("indicator", "table"):
+            return float(np.abs(self._values).max(initial=0.0))
         return abs(self.params["value"])
 
 

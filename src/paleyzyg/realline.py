@@ -8,9 +8,10 @@ sample index, n = j - M/2, so that x_j = n h (L = h M / 2) and
     f_hat(xi) = h sum_n f_{n + M/2} e^{-2 pi i n x},   x = xi h, |x| <= 1/4,
 
 a trigonometric polynomial in x: f_hat at any set of nodes is a type-2
-nonuniform FFT.  ``_nufft`` evaluates it by Gaussian gridding (Dutt &
-Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard & Lee, SIAM Rev. 46, 2004)
-on N = 2M grid points, with S = _SPREAD = 14 bins on each side of a node:
+nonuniform FFT.  ``fourier_transform`` evaluates it by Gaussian gridding
+(Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard & Lee, SIAM Rev.
+46, 2004) on N = 2M grid points, with S = _SPREAD = 14 bins on each side of
+a node:
 
 1. divide the samples by the Fourier coefficients of the periodic Gaussian,
    which are proportional to e^{-tau n^2}: multiply by e^{tau n^2}, with
@@ -27,12 +28,12 @@ on N = 2M grid points, with S = _SPREAD = 14 bins on each side of a node:
 
 That is one 2M-point FFT per call and 2S terms per node, summed in passes
 of 128 nodes whose temporaries stay under the allocator's 128 KiB trim
-threshold (_PASS_BYTES), so that steady calls take no page faults: 0.5 to
-0.8 ms, as the machine's load varies, for the 1,920 nodes of blocks -10..4
-at M = 2048.  Against the dense sum
-(``_kernels.nudft``) the error is at most 2.1e-14 h ||f||_1 over M = 16 ..
-2^15 and L = 0.5, 4, 64, 2,003 nodes each (measured; an exact evaluation in
-Cooley-Tukey factored form is itself 3.1e-14 off at 2^15, from rounding).
+threshold (torus._CHUNK_BYTES), so that steady calls take no page faults:
+0.5 to 0.8 ms, as the machine's load varies, for the 1,920 nodes of blocks
+-10..4 at M = 2048.  Against the dense sum (``_kernels.nudft``) the error
+is at most 2.1e-14 h ||f||_1 over M = 16 .. 2^15 and L = 0.5, 4, 64, 2,003
+nodes each (measured; an exact evaluation in Cooley-Tukey factored form is
+itself 3.1e-14 off at 2^15, from rounding).
 Nothing is cached: the FFT depends on the signal alone and the weights on
 the node alone, and their exponentials are under a tenth of a call, so a
 plan that kept them for a node set would save little.  A node's f_hat thus
@@ -43,15 +44,17 @@ On the dual grid xi_m = m/(2L) the transform is h (-1)^m fft(f)_m, and the
 factor cancels on the way back, so the dyadic blocks
 Delta_k f = ifft(eta(2^-k xi) fft(f)) are all read off one FFT of the
 samples, by the block loop the torus square function uses
-(torus._dyadic_blocks); this module takes forward FFTs only.
+(torus._dyadic_blocks); this module takes forward FFTs only.  One check,
+``_check_band``, holds node grids and blocks to the band.
 
 Measures are atoms or dyadic-blockwise densities; atom integrals are point
 evaluations of f_hat, densities use 64-point Gauss-Legendre quadrature per
 signed block half, which is where all the structure lives; density blocks
 lie in -1022..1022, where every node is a normal float.  Block masses,
 int |f_hat|^2 dmu and the witness integrals all sum over the nodes of
-``PaleyMeasure._nodes``, block by block, and every node's f_hat comes from
-``fourier_transform``.  For the |xi|^-1 density the quadrature is off by at
+``PaleyMeasure._nodes`` (one routine for atoms and densities, which also
+names the block of each row), block by block, and every node's f_hat comes
+from ``fourier_transform``.  For the |xi|^-1 density the quadrature is off by at
 most 1.14e-7 relative on the first 20 criterion-9 signals (blocks -10..4 and
 -2..4), measured against the exact h^2 sum_l r(l) mu_hat(l h), r the sample
 autocorrelation.
@@ -64,7 +67,12 @@ import numpy as np
 
 from . import window
 from .multipliers import _diverging
-from .torus import _dyadic_blocks, _square_function
+from .torus import _CHUNK_BYTES, _dyadic_blocks, _square_function, check_budget
+
+
+def _sample_points(half_width, size):
+    """The sample window of a signal: x_j = -L + j h, h = 2L/M."""
+    return -half_width + (2.0 * half_width / size) * np.arange(size)
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,8 @@ class CompactSignal:
             raise ValueError("need a 1D sample array, power-of-two length >= 16")
         if not np.all(np.isfinite(v.view(np.float64))):
             raise ValueError("samples must be finite")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -99,7 +107,7 @@ class CompactSignal:
         return 1.0 / (4.0 * self.h)
 
     def x(self):
-        return -self.half_width + self.h * np.arange(self.size)
+        return _sample_points(self.half_width, self.size)
 
     def integral(self):
         return complex(self.h * self.values.sum())
@@ -113,25 +121,28 @@ class CompactSignal:
         return float(self.h * np.sum(a * np.sqrt(np.log1p(a))))
 
 
-def _check_band(s: CompactSignal, freqs):
-    if freqs.size and float(np.abs(freqs).max()) > s.band * (1 + 1e-12):
-        raise ValueError(f"frequency grid exceeds the validity band |xi| <= {s.band}")
+def _check_band(s: CompactSignal, top, what):
+    """Reject `what`, whose largest |xi| is top, past the validity band
+    |xi| <= s.band, with a relative slack of 1e-12: the one band check, for
+    node grids and dyadic blocks alike."""
+    if not top <= s.band * (1 + 1e-12):
+        raise ValueError(f"{what} lies outside the validity band |xi| <= {s.band}")
 
 
-# The Gaussian gridding of _nufft: _SPREAD grid bins on each side of a node,
-# and passes of _PASS nodes.  A pass holds a float weight and a complex term
-# for each of a node's 2 _SPREAD taps, 24 bytes a tap, and _PASS is the
-# largest power of two of nodes that keeps them under _PASS_BYTES, glibc's
-# default mmap and trim threshold: a pass that frees more than that at once
-# returns its pages to the system, and the next pass faults them in again.
+# The Gaussian gridding of fourier_transform: _SPREAD grid bins on each side
+# of a node, and passes of _PASS nodes.  A pass holds a float weight and a
+# complex term for each of a node's 2 _SPREAD taps, 24 bytes a tap, and _PASS
+# is the largest power of two of nodes that keeps them under
+# torus._CHUNK_BYTES, glibc's default mmap and trim threshold: a pass that
+# frees more than that at once returns its pages to the system, and the next
+# pass faults them in again.
 _SPREAD = 14
-_PASS_BYTES = 128 * 1024
-_PASS = 1 << ((_PASS_BYTES // (24 * 2 * _SPREAD)).bit_length() - 1)
+_PASS = 1 << ((_CHUNK_BYTES // (24 * 2 * _SPREAD)).bit_length() - 1)
 _TAPS = np.arange(1.0 - _SPREAD, _SPREAD + 1.0)
 
 
 def _grid_pass(rows, frac, first, out):
-    """One pass of _nufft: out[j] is the sum over the taps t of
+    """One pass of fourier_transform: out[j] is the sum over the taps t of
     e^{-3 pi (frac[j, 0] - t)^2 / (4 S)} rows[first[j], t], for the nodes
     of the pass, which lie frac[j, 0] into their bin; rows[m] is the window
     of 2 S spectrum bins that starts at bin m."""
@@ -147,10 +158,14 @@ def _grid_pass(rows, frac, first, out):
     np.add.reduce(terms, axis=1, out=out)
 
 
-def _nufft(s: CompactSignal, freqs) -> np.ndarray:
-    """f_hat at freqs inside the band, by the type-2 NUFFT of the module
-    docstring.  The value at a node depends on that node alone, not on the
-    other nodes of the call."""
+def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
+    """f_hat(xi) = h * sum_j f(x_j) exp(-2 pi i xi x_j) on the given grid,
+    by the type-2 NUFFT of the module docstring.  Frequencies outside the
+    validity band are rejected.  The value at a node depends on that node
+    alone, not on the other nodes of the call."""
+    freqs = np.atleast_1d(np.asarray(freq_grid, dtype=float))
+    if freqs.size:
+        _check_band(s, float(np.abs(freqs).max()), "frequency grid")
     M = s.size
     # e^{tau n^2} for the centred index n, with tau M^2 = pi S / 3
     deconvolved = s.values * np.exp((np.pi * _SPREAD / 3)
@@ -159,7 +174,7 @@ def _nufft(s: CompactSignal, freqs) -> np.ndarray:
     padded[:M // 2] = deconvolved[M // 2:]
     padded[-(M // 2):] = deconvolved[:M // 2]
     # drop each array once read: held to the end of the call, they would be
-    # freed together, over _PASS_BYTES at once, and in some heap layouts the
+    # freed together, over _CHUNK_BYTES at once, and in some heap layouts the
     # next call would fault their pages in again
     del deconvolved
     spectrum = np.fft.fft(padded)
@@ -183,24 +198,14 @@ def _nufft(s: CompactSignal, freqs) -> np.ndarray:
     return (0.5 * s.h * math.sqrt(3.0 / _SPREAD)) * out
 
 
-def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
-    """f_hat(xi) = h * sum_j f(x_j) exp(-2 pi i xi x_j) on the given grid,
-    by the NUFFT of the module docstring.  Frequencies outside the validity
-    band are rejected."""
-    freqs = np.atleast_1d(np.asarray(freq_grid, dtype=float))
-    _check_band(s, freqs)
-    return _nufft(s, freqs)
-
-
 def _blocks(s: CompactSignal, ks):
     """The samples of Delta_k f = ifft(eta(2^-k xi) fft(f)) for the k in ks,
     by torus._dyadic_blocks on one FFT of s over the dual grid xi_m = m/(2L),
     m = 0..M/2-1, -M/2..-1 (see the module docstring).  A block outside the
-    validity band is rejected here, before any block is made (past
-    k = 1021, 2^{k+2} is no float)."""
+    validity band, 4 * 2^k > band, is rejected here, before any block is
+    made (past k = 1021, 4 * 2^k is inf)."""
     for k in ks:
-        if k > 1021 or 2.0 ** (k + 2) > s.band * (1 + 1e-12):
-            raise ValueError(f"block {k} lies outside the validity band (band {s.band})")
+        _check_band(s, 4.0 * 2.0 ** min(int(k), 1022), f"block {k}")
     m = np.fft.fftfreq(s.size, d=1.0 / s.size).astype(np.int64)
     return _dyadic_blocks(np.fft.fft(s.values), m / (2.0 * s.half_width), ks, "backward")
 
@@ -251,20 +256,21 @@ class PaleyMeasure:
     k_max: int = 0
     gap: float = 0.0
 
-    @staticmethod
-    def from_atoms(pairs, gap=0.0):
-        gap = float(gap)
-        if not (math.isfinite(gap) and gap >= 0):
-            raise ValueError(f"gap must be finite and >= 0, got {gap}")
-        atoms = tuple((float(xi), float(w)) for xi, w in pairs)
-        for xi, w in atoms:
+    def __post_init__(self):
+        if not (math.isfinite(self.gap) and self.gap >= 0):
+            raise ValueError(f"gap must be finite and >= 0, got {self.gap}")
+        for xi, w in self.atoms:
             if not (math.isfinite(xi) and math.isfinite(w)):
                 raise ValueError(f"atom ({xi}, {w}) is not finite")
             if w < 0:
                 raise ValueError("atom weights must be non-negative")
-            if gap > 0 and abs(xi) <= gap and w > 0:
+            if self.gap > 0 and abs(xi) <= self.gap and w > 0:
                 raise ValueError("an atom sits inside the declared gap")
-        return PaleyMeasure(kind="atoms", atoms=atoms, gap=gap)
+
+    @staticmethod
+    def from_atoms(pairs, gap=0.0):
+        return PaleyMeasure(kind="atoms", atoms=tuple((float(xi), float(w)) for xi, w in pairs),
+                            gap=float(gap))
 
     @staticmethod
     def from_density(fn, k_min, k_max, gap=None, name="custom"):
@@ -286,64 +292,51 @@ class PaleyMeasure:
                                          name="inverse-abs")
 
     def block_nodes(self, k):
-        """Gauss-Legendre nodes and density-laden weights on +-[2^k, 2^{k+1})."""
-        xs, ws = self._density_nodes([k])
-        return xs[0], ws[0]
+        """The nodes and weights of the signed block +-[2^k, 2^{k+1}), as
+        _nodes gives them: a density block's Gauss-Legendre nodes and
+        density-laden weights, or the atoms in the block; none for a block
+        outside the measure."""
+        xs, ws, _ = self._nodes((k, k))
+        return xs.ravel(), ws.ravel()
 
-    def _density_nodes(self, ks):
-        """The block_nodes of each block of ks as (blocks, nodes) arrays, one
-        row per block, from one evaluation of the density."""
+    def _nodes(self, k_range):
+        """(xs, ws, ks): the nodes and weights of the signed blocks
+        +-[2^k, 2^{k+1}) of k_range as (rows, nodes) arrays, and the block of
+        each row.  A density has one row per block of the measure in range,
+        its Gauss-Legendre nodes and density-laden weights, from one
+        evaluation of the density.  Atoms have one row per atom of positive
+        weight in those blocks, in order, the block of an atom being the
+        exponent of np.frexp(|xi|) less one.  k_range=None keeps every
+        density block and every atom, one at 0 too, which is in no block."""
+        if self.kind == "atoms":
+            nodes = np.array([a for a in self.atoms if a[1] > 0]).reshape(-1, 2)
+            ks = np.frexp(np.abs(nodes[:, 0]))[1] - 1
+            if k_range is not None:
+                keep = (nodes[:, 0] != 0) & (int(k_range[0]) <= ks) & (ks <= int(k_range[1]))
+                nodes, ks = nodes[keep], ks[keep]
+            return nodes[:, :1], nodes[:, 1:], ks
+        k_lo, k_hi = self.k_min, self.k_max
+        if k_range is not None:
+            k_lo, k_hi = max(int(k_range[0]), k_lo), min(int(k_range[1]), k_hi)
+        ks = np.arange(k_lo, k_hi + 1)
         xs_pos, ws = _block_points(ks)
         xs = np.concatenate([xs_pos, -xs_pos], axis=1)
         dens = np.asarray(self.density(np.abs(xs)), dtype=float)
-        return xs, np.concatenate([ws, ws], axis=1) * dens
-
-    def _density_blocks(self, k_range):
-        """The density blocks of k_range (k_range=None: all of them)."""
-        if k_range is None:
-            return range(self.k_min, self.k_max + 1)
-        return range(max(int(k_range[0]), self.k_min), min(int(k_range[1]), self.k_max) + 1)
-
-    def _atom_nodes(self, k_range):
-        """The atoms of positive weight as an (atoms, 2) array, in order;
-        with a k_range, only those in its signed blocks +-[2^k, 2^{k+1}),
-        and also the block of each: the exponent of np.frexp(|xi|) less one.
-        An atom at 0 is in no block."""
-        nodes = np.array([a for a in self.atoms if a[1] > 0]).reshape(-1, 2)
-        if k_range is None:
-            return nodes, None
-        ks = np.frexp(np.abs(nodes[:, 0]))[1] - 1
-        keep = (nodes[:, 0] != 0) & (int(k_range[0]) <= ks) & (ks <= int(k_range[1]))
-        return nodes[keep], ks[keep]
-
-    def _nodes(self, k_range):
-        """(xs, ws) as (blocks, nodes) arrays: the block_nodes of each density
-        block of k_range, one row per block, or the _atom_nodes of k_range,
-        one row per atom; k_range=None keeps every density block and every
-        atom."""
-        if self.kind == "atoms":
-            nodes = self._atom_nodes(k_range)[0]
-            return nodes[:, :1], nodes[:, 1:]
-        return self._density_nodes(self._density_blocks(k_range))
+        return xs, np.concatenate([ws, ws], axis=1) * dens, ks
 
     def block_mass(self, k):
         return self.block_masses(k, k)[0]
 
     def block_masses(self, k_lo, k_hi):
         """The mass of each signed block k_lo..k_hi, in one pass, as
-        _sum_by_block gives it for that block alone: a density block sums
-        its nodes, from one _density_nodes call over the blocks of the
-        measure in range, and an atom block sums its weights in atom order
-        from 0.0; a block outside the measure has mass 0.0."""
+        _sum_by_block gives it for that block alone: the row sums of the
+        _nodes weights of the range, added into their blocks in order (a
+        density block is one row, an atom block its atoms from 0.0); a block
+        outside the measure has mass 0.0."""
         k_lo, k_hi = int(k_lo), int(k_hi)
-        if self.kind == "atoms":
-            nodes, ks = self._atom_nodes((k_lo, k_hi))
-            terms = nodes[:, 1]
-        else:
-            ks = self._density_blocks((k_lo, k_hi))
-            terms = self._density_nodes(ks)[1].sum(axis=1)
+        _, ws, ks = self._nodes((k_lo, k_hi))
         masses = np.zeros(max(0, k_hi - k_lo + 1))
-        np.add.at(masses, np.asarray(ks, dtype=np.int64) - k_lo, terms)
+        np.add.at(masses, ks - k_lo, ws.sum(axis=1))
         return masses.tolist()
 
 
@@ -381,7 +374,7 @@ def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
     exact atom evaluations or per-block quadrature for densities.  An atom
     counts when its signed block +-[2^k, 2^{k+1}) is in range, as in
     block_mass; k_range=None keeps every atom."""
-    xs, ws = mu._nodes(k_range)
+    xs, ws, _ = mu._nodes(k_range)
     fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
     return _sum_by_block(ws * np.abs(fhat) ** 2)
 
@@ -422,8 +415,7 @@ def raised_cosine_bump(half_width, size, support=None) -> CompactSignal:
     a = L if support is None else float(support)
     if not (0 < a <= L):
         raise ValueError("support must lie inside the sample window")
-    h = 2.0 * L / size
-    x = -L + h * np.arange(size)
+    x = _sample_points(L, size)
     vals = np.where(np.abs(x) < a, (1.0 + np.cos(np.pi * x / a)) / (2.0 * a), 0.0)
     s = CompactSignal(vals.astype(np.complex128), L)
     total = s.integral().real
@@ -451,8 +443,7 @@ class RudinReport:
     partial_signals: tuple      # sampled partial sums, for blocks inside the band
 
 
-def rudin_counterexample(mu: PaleyMeasure, J, k_search_max=None,
-                         signal=(4.0, 2048)) -> RudinReport:
+def rudin_counterexample(mu: PaleyMeasure, J, k_search_max=None) -> RudinReport:
     """Witness series against the weighted L2 inequality for a measure with
     unbounded dyadic blocks.
 
@@ -460,8 +451,9 @@ def rudin_counterexample(mu: PaleyMeasure, J, k_search_max=None,
     mu(I_{k_j}) >= j^4 (starting the search at k = 0 so that J = 6 stays
     inside the float range), builds f_hat = sum_j j^{-2} eta(2^{-k_j} xi),
     and evaluates each block integral int_{I_{k_j}} |f_hat|^2 dmu exactly in
-    the frequency domain.  If no qualifying block exists the measure looks
-    Paley in range and the construction is refused.
+    the frequency domain.  The partial sums are sampled on the corpus
+    window, for the blocks inside its band.  If no qualifying block exists
+    the measure looks Paley in range and the construction is refused.
     """
     J = int(J)
     if J < 1:
@@ -495,13 +487,12 @@ def rudin_counterexample(mu: PaleyMeasure, J, k_search_max=None,
     floors, witnesses = [], []
     for j, kj in enumerate(ks, start=1):
         floors.append(masses[kj] / j ** 4)
-        xs, ws = mu._nodes((kj, kj))
+        xs, ws, _ = mu._nodes((kj, kj))
         witnesses.append(_sum_by_block(ws * fhat_at(xs) ** 2))
 
-    L, M = float(signal[0]), int(signal[1])
-    h = 2.0 * L / M
-    band = 1.0 / (4.0 * h)
-    x = -L + h * np.arange(M)
+    L, M = _CORPUS_HALF_WIDTH, _CORPUS_SIZE
+    band = M / (8.0 * L)        # 1 / (4 h)
+    x = _sample_points(L, M)
     partials = []
     acc = np.zeros(M)
     for j, kj in enumerate(ks, start=1):
@@ -577,7 +568,8 @@ def product_paley_sup_2d(mu: PaleyMeasure, nu: PaleyMeasure, k_range) -> Product
 
 
 # Every corpus signal: _CORPUS_BUMPS bumps sampled at _CORPUS_SIZE points on
-# [-_CORPUS_HALF_WIDTH, _CORPUS_HALF_WIDTH).
+# [-_CORPUS_HALF_WIDTH, _CORPUS_HALF_WIDTH); the Rudin partial sums share the
+# window.
 _CORPUS_HALF_WIDTH = 4.0
 _CORPUS_SIZE = 2048
 _CORPUS_BUMPS = 3
@@ -586,10 +578,11 @@ _CORPUS_BUMPS = 3
 def random_mean_zero_corpus(count, seed=513):
     """Seeded smooth mean-zero signals: random modulated Gaussian bumps under
     a window, centred by the raised-cosine reduction."""
+    check_budget(count * _CORPUS_SIZE, f"a corpus of {count} signals of {_CORPUS_SIZE} samples")
     out = []
     L = _CORPUS_HALF_WIDTH
     h = 2.0 * L / _CORPUS_SIZE
-    x = -L + h * np.arange(_CORPUS_SIZE)
+    x = _sample_points(L, _CORPUS_SIZE)
     window_taper = np.cos(np.pi * x / (2 * L)) ** 2
     for t in range(count):
         rng = np.random.default_rng([seed, t])

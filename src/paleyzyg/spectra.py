@@ -4,6 +4,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+import numpy as np
+
+from .torus import check_budget
+
 
 @dataclass(frozen=True)
 class LacunarySeq:
@@ -25,12 +29,10 @@ class LacunarySeq:
             if terms[i] <= terms[i - 1]:
                 raise ValueError(f"not strictly increasing at index {i}: "
                                  f"{terms[i - 1]} -> {terms[i]}")
-        ratio = min((terms[i + 1] / terms[i] for i in range(len(terms) - 1)),
-                    default=math.inf)
-        if ratio <= 1.0:
-            bad = min(range(len(terms) - 1), key=lambda i: terms[i + 1] / terms[i])
-            raise ValueError(f"ratio {ratio} <= 1 at index {bad}")
         object.__setattr__(self, "terms", terms)
+        if self.ratio <= 1.0:
+            bad = min(range(len(terms) - 1), key=lambda i: terms[i + 1] / terms[i])
+            raise ValueError(f"ratio {self.ratio} <= 1 at index {bad}")
 
     @property
     def ratio(self):
@@ -128,12 +130,22 @@ def block_counts(freqs: FrequencySet, K):
     return counts, max(counts, default=0)
 
 
+def _signed_sums(terms, k):
+    """The index tuples of combinations(range(len(terms)), k), as a
+    (tuples, k) array, and their signed sums as a (tuples, 2**k) int64
+    array, column j with the signs of product((1, -1), repeat=k)[j]."""
+    combos = np.array(list(combinations(range(len(terms)), k)), dtype=np.intp).reshape(-1, k)
+    signs = np.array(list(product((1, -1), repeat=k)), dtype=np.int64)
+    return combos, np.array(terms, dtype=np.int64)[combos] @ signs.T
+
+
 def sumset_bonami(lam: LacunarySeq, k, cap=4096):
     """All signed k-fold sums over strictly decreasing index tuples.
 
     Generates from the first T terms, with T the largest count whose raw
     sum count C(T, k) * 2**k stays within cap; duplicates merge.  Returns
-    (FrequencySet, T) so runs are reproducible.
+    (FrequencySet, T) so runs are reproducible.  The sums are int64: a sum
+    that cannot fit is refused, as is a raw count over the budget.
     """
     k = int(k)
     if k < 1:
@@ -146,12 +158,11 @@ def sumset_bonami(lam: LacunarySeq, k, cap=4096):
     while T + 1 <= len(lam.terms) and math.comb(T + 1, k) * 2 ** k <= cap:
         T += 1
     terms = lam.terms[:T]
-    out = set()
-    for tup in combinations(range(T), k):
-        vals = [terms[i] for i in tup]
-        for signs in product((1, -1), repeat=k):
-            out.add(sum(s * v for s, v in zip(signs, vals)))
-    return FrequencySet(1, frozenset(out)), T
+    if sum(terms[-k:]) > np.iinfo(np.int64).max:
+        raise ValueError(f"the {k}-fold sums of {terms[-k:]} do not fit in int64")
+    check_budget(math.comb(T, k) * 2 ** k, f"signed {k}-fold sums of {T} terms")
+    sums = _signed_sums(terms, k)[1]
+    return FrequencySet(1, frozenset(sums.ravel().tolist())), T
 
 
 def product_set(sets, cap=1 << 20):
@@ -172,14 +183,7 @@ def is_lacunary_with_ratio_in(seq, lo, hi):
     Sequences with fewer than two terms pass vacuously.  Returns
     (verdict, witness) with witness None or the first violating pair.
     """
-    terms = [int(t) for t in seq]
-    if not terms:
-        raise ValueError("empty sequence")
-    if any(t < 1 for t in terms):
-        raise ValueError("terms must be positive")
-    for i in range(1, len(terms)):
-        if terms[i] <= terms[i - 1]:
-            raise ValueError(f"not strictly increasing at index {i}")
+    terms = LacunarySeq(tuple(seq)).terms
     for i in range(len(terms) - 1):
         r = terms[i + 1] / terms[i]
         if not (lo <= r <= hi):

@@ -474,11 +474,12 @@ def orlicz_functional(s: GridSignal, r) -> float:
     return _abs_readings([s.values], s.npoints, [_orlicz_term(r)])[0]
 
 
-# A long sum (_chunked_sum) makes its terms _SUM_CHUNK at a time, budgeted
-# at 64 bytes of temporaries a term (its callers take at most 40, measured
-# with tracemalloc), so a chunk's stay under _CHUNK_BYTES, glibc's default
-# mmap and trim threshold, as realline's passes do: they come and go inside
-# the heap, without page faults.
+# _CHUNK_BYTES is glibc's default mmap and trim threshold: temporaries under
+# it come and go inside the heap, without page faults, and a block of work
+# whose temporaries exceed it returns their pages at every free.  A long sum
+# (_chunked_sum) makes its terms _SUM_CHUNK at a time, budgeted at 64 bytes
+# of temporaries a term (its callers take at most 40, measured with
+# tracemalloc); realline sizes its NUFFT passes from it too.
 _CHUNK_BYTES = 128 * 1024
 _SUM_CHUNK = _CHUNK_BYTES // 64
 

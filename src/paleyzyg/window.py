@@ -7,6 +7,8 @@ sums to exactly 1 at every xi != 0 (and in particular the partition sum stays
 inside [1, 2] on any covered band).
 """
 
+import functools
+
 import numpy as np
 
 SUPPORT_LO = 1.0
@@ -66,14 +68,9 @@ def partition_sum(xi, k_min=None, k_max=None):
     return total if total.ndim else float(total)
 
 
-_GL_CACHE = {}
-
-
+@functools.cache
 def _gauss_legendre(n):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def eta_inverse_transform(x):

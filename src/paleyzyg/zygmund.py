@@ -16,7 +16,7 @@ from .multipliers import MultiplierSeq, paley_block_sums
 from .spectra import DyadicBlocks, LacunarySeq
 # synthesize is unused here but stays bound: perfbench/tests checks that a
 # traced run rebinds a name one module imports from another.
-from .torus import TrigPoly, _grid_readings, grid_size, synthesize, weighted_l2
+from .torus import TrigPoly, _grid_readings, check_budget, grid_size, synthesize, weighted_l2
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def even_odd_split(sel: GreedySelection):
 
 
 def _check_bounded(m: MultiplierSeq):
-    K = max(2, m.horizon.bit_length() - 2)
-    while 2 ** (K + 1) > m.horizon:
-        K -= 1
+    K = m.horizon.bit_length() - 2         # the largest K with 2^(K+1) <= horizon
     if K < 0:
         return
     report = paley_block_sums(m, K)
@@ -142,6 +140,8 @@ _CORPUS_MAX_PER_BLOCK = 3
 def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240):
     """Seeded random polynomials whose support meets every shifted block
     k in [k_lo, k_hi]; coefficients are complex gaussians."""
+    check_budget(count * max(0, k_hi - k_lo + 1) * _CORPUS_MAX_PER_BLOCK,
+                 f"a corpus of {count} polynomials on blocks {k_lo}..{k_hi}")
     polys = []
     for t in range(count):
         rng = np.random.default_rng([seed, t])

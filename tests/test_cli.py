@@ -116,6 +116,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert "M = 256 needs 8192 points, over the budget of 1024" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("lambda-p", "--trials", "1000"), "1000 members of 8 terms needs 8000 points"),
+        (("bonami", "--k", "3", "--count", "20", "--cap", "100000"),
+         "signed 3-fold sums of 20 terms needs 9120 points"),
+        (("bonami", "--trials", "100"), "100 members of 112 terms needs 11200 points"),
+        (("rline-paley", "--corpus", "3"), "a corpus of 3 signals of 2048 samples needs 6144 points"),
+        (("zygmund-ratio", "--corpus", "200"),
+         "a corpus of 200 polynomials on blocks 1..12 needs 7200 points")])
+    def test_count_flags_checked_against_the_budget(self, capsys, monkeypatch, argv, message):
+        # each count is refused before anything of its size is drawn or
+        # built; a budget of 4096 points keeps a missing check quick to fail
+        monkeypatch.setattr(torus, "_MAX_GRID_POINTS", 1 << 12)
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}, over the budget of 4096" in captured.err
+
     def test_out_of_memory_exits_1_with_message(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

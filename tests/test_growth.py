@@ -15,7 +15,7 @@ from paleyzyg import (Ensemble, FrequencySet, MultiplierSeq, PlainSpectrum,
                       growth_exponent, lambda_p_ratio, lp_norm, next_pow2,
                       offdiagonal_split, sidon_lower_bound, synthesize, tensor_growth)
 from paleyzyg.cli import main
-from paleyzyg import growth
+from paleyzyg import growth, torus
 from paleyzyg.growth import _moment_ratios
 from paleyzyg.torus import grid_size
 
@@ -384,6 +384,22 @@ class TestDraws:
             assert V.shape == (3, len(freqs))
             for t, row in enumerate(V):
                 assert np.array_equal(row, self._alone(kind, 4 + 7919 * (a + 1), t, len(freqs)))
+
+    def test_member_stacks_checked_against_the_budget(self, monkeypatch):
+        # plain spectra, tensor axes and sumset rows: members times the width
+        # of the stack, refused before any member is drawn
+        monkeypatch.setattr(torus, "_MAX_GRID_POINTS", 1 << 12)
+        fs = FrequencySet(1, frozenset(geometric_lacunary(2, 8).terms))
+        cases = [(PlainSpectrum(fs).draw, "600 members of 8 terms needs 4800 points"),
+                 (TensorSpectrum([PlainSpectrum(fs)] * 2).draw_factors,
+                  "600 members of 8 terms needs 4800 points"),
+                 (SumsetSpectrum(geometric_lacunary(2, 8), 2).draw,
+                  "600 members of 112 terms needs 67200 points")]
+        for draw, message in cases:
+            for kind in ("random-signs", "steinhaus"):
+                with pytest.raises(ValueError, match=f"{message}, over the budget of 4096"):
+                    draw(Ensemble(kind, trials=600))
+            draw(Ensemble("flat", trials=600))      # one member, whatever trials says
 
     @pytest.mark.parametrize("kind", ["flat", "phase-ascent"])
     def test_deterministic_kinds_draw_one_row(self, kind):

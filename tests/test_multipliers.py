@@ -49,6 +49,32 @@ class TestForms:
         assert MultiplierSeq.inverse_sqrt(10).sup_norm() == 1.0
         assert MultiplierSeq.constant(2j, 10).sup_norm() == 2.0
         assert MultiplierSeq.table({3: 0.5, -1: 2.0}).sup_norm() == 2.0
+        assert MultiplierSeq.table({3: 3 + 4j, -1: 2.0}).sup_norm() == 5.0
+        assert MultiplierSeq.table({}).sup_norm() == 0.0
+        assert MultiplierSeq.indicator(FrequencySet(1, frozenset())).sup_norm() == 0.0
+        assert MultiplierSeq.indicator(FrequencySet(1, frozenset([-2]))).sup_norm() == 1.0
+
+    @pytest.mark.parametrize("keys", [[], [0], [-64], [64], [-64, 64], [-64, -63, 0, 63, 64],
+                                      [-50, -9, -1, 2, 3, 27, 40]])
+    def test_tabulated_lookup_matches_a_dict(self, keys):
+        # the sorted-key search of values_at against a dict lookup, for both
+        # tabulated forms: an empty table, negative keys, keys at +-horizon,
+        # points just past them and a 2-D index array
+        H = 64
+        rng = np.random.default_rng(len(keys))
+        table = {n: complex(*rng.standard_normal(2)) for n in keys}
+        ns = np.arange(-H - 2, H + 3)
+        grid = np.concatenate([ns, ns[:1]]).reshape(-1, 2)
+        for m, want, dtype in (
+                (MultiplierSeq.table(table, horizon=H), table, np.complex128),
+                (MultiplierSeq.indicator(FrequencySet(1, frozenset(keys)), horizon=H),
+                 dict.fromkeys(keys, 1.0), np.float64)):
+            for points in (ns, grid):
+                got = m.values_at(points)
+                expect = np.array([[want.get(n, 0) for n in np.ravel(points).tolist()]],
+                                  dtype=dtype).reshape(points.shape)
+                assert got.dtype == dtype and got.shape == points.shape
+                assert np.array_equal(got, expect), m.form
 
 
 class TestBlockSums:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paleyzyg import _kernels, realline, window
+from paleyzyg import _kernels, realline, torus, window
 from paleyzyg import (CompactSignal, PaleyMeasure, fourier_transform, low_block_divergence,
                       lp_block, mean_zero_reduction, mu_l2_sq, paley_inequality_probe,
                       paley_sup, product_paley_sup_2d, raised_cosine_bump,
@@ -38,7 +38,7 @@ def block_signal(k, decay, L=8.0, M=2048):
 
 def dense_mu_l2_sq(mu, s, k_range):
     """int |f_hat|^2 dmu at the nodes of mu, with f_hat by the dense sum."""
-    xs, ws = mu._nodes(k_range)
+    xs, ws, _ = mu._nodes(k_range)
     fhat = s.h * _kernels.nudft(s.values, s.x(), xs.ravel()).reshape(xs.shape)
     return float(np.sum(ws * np.abs(fhat) ** 2))
 
@@ -87,6 +87,19 @@ class TestTransform:
         s = gaussian_signal(L=8.0, M=256)
         with pytest.raises(ValueError, match="band"):
             fourier_transform(s, [s.band * 2])
+        with pytest.raises(ValueError, match="frequency grid lies outside the validity band"):
+            fourier_transform(s, [0.0, math.nan])
+        # the band's edge, with its 1e-12 slack, is inside for nodes and blocks
+        assert fourier_transform(s, [-s.band * (1 + 1e-13)]).shape == (1,)
+        top = int(math.log2(s.band)) - 2
+        assert lp_block(s, top).size == s.size
+        with pytest.raises(ValueError, match=f"block {top + 1} lies outside the validity band"):
+            lp_block(s, top + 1)
+
+    @pytest.mark.parametrize("half_width", [math.nan, math.inf, 0.0, -1.0])
+    def test_half_width_must_be_finite_and_positive(self, half_width):
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            CompactSignal(np.ones(16, dtype=complex), half_width)
 
     @pytest.mark.parametrize("M", [16, 32, 2048, 2 ** 15])
     @pytest.mark.parametrize("L", [0.5, 4.0, 64.0])
@@ -230,6 +243,30 @@ class TestPaleyMeasure:
         with pytest.raises(ValueError):
             PaleyMeasure.from_atoms([(0.1, 1.0)], gap=0.5)
 
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf, -1.0])
+    def test_gap_must_be_finite_and_non_negative(self, gap):
+        one_over = lambda xi: 1.0 / xi
+        for build in (lambda: PaleyMeasure.from_atoms([(3.0, 1.0)], gap=gap),
+                      lambda: PaleyMeasure.from_density(one_over, 0, 2, gap=gap),
+                      lambda: PaleyMeasure(kind="density", density=one_over, gap=gap)):
+            with pytest.raises(ValueError, match="gap must be finite and >= 0"):
+                build()
+        assert PaleyMeasure.from_density(one_over, 0, 2, gap=0.0).gap == 0.0
+
+    def test_nodes_name_the_block_of_each_row(self):
+        mu = PaleyMeasure.inverse_abs(-3, 5)
+        xs, ws, ks = mu._nodes((-10, 2))
+        assert ks.tolist() == list(range(-3, 3)) and xs.shape == ws.shape == (6, 128)
+        for row, k in zip(xs, ks.tolist()):
+            assert np.all((2.0 ** k <= np.abs(row)) & (np.abs(row) < 2.0 ** (k + 1)))
+            assert np.array_equal(mu.block_nodes(k)[0], row)
+        atoms = PaleyMeasure.from_atoms([(0.0, 1.0), (-3.0, 2.0), (5.0, 0.0), (1.0, 4.0)])
+        xs, ws, ks = atoms._nodes((0, 3))
+        assert xs.ravel().tolist() == [-3.0, 1.0] and ws.ravel().tolist() == [2.0, 4.0]
+        assert ks.tolist() == [1, 0]
+        assert atoms._nodes(None)[0].ravel().tolist() == [0.0, -3.0, 1.0]
+        assert atoms.block_masses(-1, 2) == [0.0, 4.0, 2.0, 0.0]
+
     def test_subadditive_for_atom_sums(self):
         a = PaleyMeasure.from_atoms([(3.0, 1.0), (12.0, 2.0)])
         b = PaleyMeasure.from_atoms([(3.5, 0.5), (100.0, 1.0)])
@@ -323,9 +360,9 @@ class TestBlockTables:
 
     def test_a_pass_fits_its_byte_budget(self):
         # _PASS is the largest power of two of nodes whose weights and terms,
-        # 24 bytes a tap, fit in _PASS_BYTES; tracemalloc sees all that a
-        # pass allocates, numpy's casting buffers included
-        S, P, budget = realline._SPREAD, realline._PASS, realline._PASS_BYTES
+        # 24 bytes a tap, fit in torus._CHUNK_BYTES; tracemalloc sees all
+        # that a pass allocates, numpy's casting buffers included
+        S, P, budget = realline._SPREAD, realline._PASS, torus._CHUNK_BYTES
         assert P & (P - 1) == 0 and P * 2 * S * 24 <= budget < 2 * P * 2 * S * 24
         rows = np.lib.stride_tricks.sliding_window_view(np.ones(4 * P, complex), 2 * S)
         frac, first = np.linspace(0.0, 0.99, P)[:, None], 3 * np.arange(P)
@@ -460,7 +497,7 @@ class TestRudin:
 
     def test_partial_signals_limited_by_band(self):
         mu, _ = self.j4_measure()
-        rep = rudin_counterexample(mu, 6, signal=(4.0, 2048))
+        rep = rudin_counterexample(mu, 6)
         assert 0 < len(rep.partial_signals) < 6
 
 

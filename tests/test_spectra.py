@@ -1,13 +1,26 @@
 """Lacunary sequences, block counts, sumsets, products."""
 
 import math
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paleyzyg import (DyadicBlocks, FrequencySet, LacunarySeq, block_counts,
+from paleyzyg import (DyadicBlocks, FrequencySet, LacunarySeq, SumsetSpectrum, block_counts,
                       geometric_lacunary, is_lacunary_with_ratio_in, product_set,
                       sumset_bonami)
+
+
+def loop_sums(terms, k):
+    """The signed k-fold sums by Python loops: index tuple by index tuple,
+    then sign pattern by sign pattern."""
+    out = []
+    for tup in combinations(range(len(terms)), k):
+        vals = [terms[i] for i in tup]
+        for signs in product((1, -1), repeat=k):
+            out.append(sum(s * v for s, v in zip(signs, vals)))
+    return out
 
 
 class TestLacunarySeq:
@@ -105,6 +118,35 @@ class TestSumset:
         fs, _ = sumset_bonami(lam, min(k, count), cap=4096)
         assert frozenset(-n for n in fs.elements) == fs.elements
 
+    @pytest.mark.parametrize("ratio, count, k, cap", [
+        (2, 8, 1, 4096), (2, 8, 2, 4096), (2, 8, 3, 4096), (3, 10, 4, 4096),
+        (2, 12, 2, 100), (5, 6, 6, 4096), (2, 60, 2, 4096)])
+    def test_sums_match_the_python_loops(self, ratio, count, k, cap):
+        # the one enumerator against the loops it replaced, for sumset_bonami
+        # and for the frequencies and bins SumsetSpectrum draws into
+        lam = geometric_lacunary(ratio, count)
+        fs, T = sumset_bonami(lam, k, cap)
+        want = loop_sums(lam.terms[:T], k)
+        assert fs.elements == frozenset(want)
+        spec = SumsetSpectrum(lam, k, cap)
+        assert spec.used_terms == T
+        assert spec._freqs.tolist() == sorted(set(want))
+        assert spec._freqs[spec._bins].tolist() == want
+
+    def test_sums_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            sumset_bonami(LacunarySeq((2 ** 62, 2 ** 62 + 2 ** 61)), 2)
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            sumset_bonami(LacunarySeq((1, 2 ** 64)), 1)
+        top = np.iinfo(np.int64).max
+        fs, _ = sumset_bonami(LacunarySeq((1, top - 1)), 2)
+        assert max(fs.elements) == top
+
+    def test_raw_count_over_the_budget_rejected(self):
+        with pytest.raises(ValueError, match="signed 20-fold sums of 40 terms needs "
+                                             "144542561803960320 points, over the budget"):
+            sumset_bonami(geometric_lacunary(2, 40), 20, cap=10 ** 27)
+
     def test_ratio2_block_counts_at_most_one(self):
         lam = geometric_lacunary(2, 10, 1)
         fs = FrequencySet(1, frozenset(lam.terms))
@@ -145,3 +187,12 @@ class TestRatioVerdict:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
             is_lacunary_with_ratio_in((2, 2), 1.5, 16)
+
+    @pytest.mark.parametrize("seq, message", [
+        ((), "empty sequence"), ((0, 1), "terms must be positive"),
+        ((1, 4, 2), "not strictly increasing at index 2: 4 -> 2")])
+    def test_validated_as_a_lacunary_sequence(self, seq, message):
+        with pytest.raises(ValueError, match=message):
+            LacunarySeq(seq)
+        with pytest.raises(ValueError, match=message):
+            is_lacunary_with_ratio_in(seq, 2, 16)

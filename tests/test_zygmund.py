@@ -2,11 +2,13 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from paleyzyg import (FrequencySet, MultiplierSeq, TrigPoly, block_filling_corpus,
+from paleyzyg import zygmund
+from paleyzyg import (FrequencySet, MultiplierSeq, PaleyReport, TrigPoly, block_filling_corpus,
                       inverse_sqrt_ratio_check, dyadic_max_select, even_odd_split,
                       vallee_poussin, zygmund_ratio)
 from paleyzyg.cli import main
@@ -127,6 +129,28 @@ class TestRatioHarness:
         m = MultiplierSeq.constant(1.0, 2 ** 13)
         with pytest.raises(ValueError, match="criterion"):
             zygmund_ratio(TrigPoly(1, {1: 1.0}), m)
+
+    def test_checked_range_is_the_largest_fitting_k(self, monkeypatch):
+        # the closed form of _check_bounded against the decrement loop it
+        # replaced: the largest K with 2^(K+1) <= horizon, none below 2
+        def loop_k(horizon):
+            K = max(2, horizon.bit_length() - 2)
+            while 2 ** (K + 1) > horizon:
+                K -= 1
+            return K
+
+        seen = []
+
+        def record(m, K):
+            seen.append(K)
+            return PaleyReport((), 0.0, "bounded-up-to-horizon")
+
+        monkeypatch.setattr(zygmund, "paley_block_sums", record)
+        for horizon in range(1, 2 ** 16 + 1):
+            seen.clear()
+            zygmund._check_bounded(SimpleNamespace(horizon=horizon))
+            want = loop_k(horizon)
+            assert seen == ([want] if want >= 0 else []), horizon
 
     def test_flat_kernel_ratio_bounded_in_n(self):
         ratios = []
