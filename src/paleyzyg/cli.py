@@ -79,14 +79,23 @@ def _resolve_output(args, name):
     return None
 
 
+def _items(text, cast, flag):
+    """The comma list text of flag, each item read by cast: the one list
+    rule of the command line.  An empty list or item raises ValueError
+    naming the flag."""
+    items = text.split(",")
+    if not all(item.strip() for item in items):
+        raise ValueError(f"{flag} takes a comma list with no empty item, got {text!r}")
+    return [cast(item) for item in items]
+
+
 def _parse_multiplier(form, horizon, two_sided):
     if form == "inverse-sqrt":
         return multipliers.MultiplierSeq.inverse_sqrt(horizon, positive_only=not two_sided)
     if form == "constant":
         return multipliers.MultiplierSeq.constant(1.0, horizon)
     if form.startswith("indicator:"):
-        vals = [int(v) for v in form.split(":", 1)[1].split(",") if v]
-        fs = spectra.FrequencySet(1, frozenset(vals))
+        fs = spectra.FrequencySet(1, frozenset(_items(form.split(":", 1)[1], int, "--form")))
         return multipliers.MultiplierSeq.indicator(fs, horizon)
     raise ValueError(f"unknown multiplier form {form!r}")
 
@@ -122,8 +131,8 @@ def cmd_zygmund_ratio(args):
 
 
 def cmd_sharpness(args):
-    rs = [float(v) for v in args.r.split(",") if v]
-    table = extremals.sharpness_experiment(range(args.n_min, args.n_max + 1), rs)
+    table = extremals.sharpness_experiment(range(args.n_min, args.n_max + 1),
+                                           _items(args.r, float, "--r"))
     rows = []
     for i, N in enumerate(table.n_values):
         row = [N, table.lhs[i]]
@@ -168,12 +177,15 @@ def _base_seq(args):
     return spectra.geometric_lacunary(args.ratio, args.count, args.start)
 
 
+def _ensembles(args):
+    return _items(args.ensemble, lambda kind: growth.Ensemble(kind, seed=args.seed,
+                                                              trials=args.trials), "--ensemble")
+
+
 def cmd_lambda_p(args):
     lam = _base_seq(args)
-    fs = spectra.FrequencySet(1, frozenset(lam.terms))
-    ens = growth.Ensemble(args.ensemble, seed=args.seed, trials=args.trials)
-    p_grid = [int(v) for v in args.p.split(",")]
-    rows = [list(row) for row in zip(p_grid, growth.best_ratios(fs, p_grid, ens))]
+    p_grid = _items(args.p, int, "--p")
+    rows = [list(row) for row in zip(p_grid, growth.best_ratios(lam, p_grid, _ensembles(args)))]
     return Report("lambda-p", ["p", "best_ratio"], rows,
                   {"spectrum": f"geometric({args.ratio},{args.count},{args.start})"}), 0
 
@@ -181,10 +193,7 @@ def cmd_lambda_p(args):
 def cmd_bonami(args):
     lam = _base_seq(args)
     spec = growth.SumsetSpectrum(lam, args.k, cap=args.cap)
-    enss = [growth.Ensemble(kind, seed=args.seed, trials=args.trials)
-            for kind in args.ensemble.split(",")]
-    p_grid = [int(v) for v in args.p.split(",")]
-    rep = growth.growth_exponent(spec, p_grid, enss)
+    rep = growth.growth_exponent(spec, _items(args.p, int, "--p"), _ensembles(args))
     rows = [[p, r] for p, r in zip(rep.p_grid, rep.ratios)]
     prov = {"alpha": rep.alpha, "intercept": rep.intercept,
             "descriptor": rep.descriptor, "used_terms": spec.used_terms}
@@ -193,13 +202,9 @@ def cmd_bonami(args):
 
 def cmd_sidon_lb(args):
     lam = _base_seq(args)
-    fs = spectra.FrequencySet(1, frozenset(lam.terms))
     m = _parse_multiplier(args.form, max(lam.terms), two_sided=False)
-    enss = [growth.Ensemble(kind, seed=args.seed, trials=args.trials)
-            for kind in args.ensemble.split(",")]
-    bound = growth.sidon_lower_bound(m, fs, enss)
-    return Report("sidon-lb", ["lower_bound"], [[bound]],
-                  {"spectrum_size": len(fs)}), 0
+    bound = growth.sidon_lower_bound(m, lam, _ensembles(args))
+    return Report("sidon-lb", ["lower_bound"], [[bound]], {"spectrum_size": len(lam)}), 0
 
 
 def _parse_measure(args):
@@ -211,8 +216,9 @@ def _parse_measure(args):
     if args.measure.startswith("atoms:"):
         pairs = []
         for part in args.measure.split(":", 1)[1].split(";"):
-            xi, w = part.split(",")
-            pairs.append((float(xi), float(w)))
+            pairs.append(_items(part, float, "--measure"))
+            if len(pairs[-1]) != 2:
+                raise ValueError(f"--measure atom {part!r} is not an xi,w pair")
         return realline.PaleyMeasure.from_atoms(pairs, gap=args.gap)
     raise ValueError(f"unknown measure {args.measure!r}")
 

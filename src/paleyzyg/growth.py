@@ -25,15 +25,15 @@ all-ones value, while ||f||_2^2 = |Lambda| is fixed.
 
 Structured spectra keep their generators: a k-fold signed sumset draws
 coefficients as products of per-term signs or phases (the order-k chaos
-supported on the sumset), over the index tuples and sums of the one
-enumerator that spectra.sumset_bonami builds the sumset from, and a tensor
-product draws one stack per axis: member t is the outer product of row t on
-every axis, a rank-one table whose p-th power means factor exactly across
-axes.  The fitted growth
-exponent is the least-squares slope of the squared best ratios (energy
-ratios) against p, by growth_exponent for every kind of spectrum.  The
-members of a random ensemble, times the width of the stack they feed, are
-checked against the budget before any is drawn.
+supported on the sumset), over the index tuples and sums of
+spectra._sumset, the one source of the sumset (sumset_bonami reads it
+too), and a tensor product draws one stack per axis: member t is the outer
+product of row t on every axis, a rank-one table whose p-th power means
+factor exactly across axes.  The fitted growth exponent is the
+least-squares slope of the squared best ratios (energy ratios) against p,
+by growth_exponent for every kind of spectrum.  The members of a random
+ensemble, times the width of the stack they feed, are checked against the
+budget before any is drawn.
 """
 
 import math
@@ -43,10 +43,10 @@ import numpy as np
 
 from . import _kernels
 from .extremals import _ols_slope
-from .spectra import FrequencySet, LacunarySeq, _signed_sums, product_set, sumset_bonami
+from .spectra import FrequencySet, LacunarySeq, _sumset, product_set
 # next_pow2 is unused here but stays bound: perfbench/tests checks that a
 # traced run rebinds a name one module imports from another.
-from .torus import (SUP_L1_FACTOR, TrigPoly, _grid_readings, _sample, check_budget,
+from .torus import (SUP_L1_FACTOR, TrigPoly, _grid_readings, _int_keys, _sample, check_budget,
                     grid_size, next_pow2)
 
 
@@ -139,12 +139,9 @@ class SumsetSpectrum:
     def __init__(self, base: LacunarySeq, k: int, cap: int = 4096):
         self.base = base
         self.k = int(k)
-        fset, used = sumset_bonami(base, self.k, cap)
-        self.used_terms = used
-        self._fset = fset
-        self._freqs = np.array(fset.sorted_elements(), dtype=np.int64)
-        self._combos, sums = _signed_sums(base.terms[:used], self.k)
-        self._bins = np.searchsorted(self._freqs, sums.ravel())
+        self.used_terms, self._combos, sums = _sumset(base, self.k, cap)
+        self._freqs, self._bins = np.unique(sums.ravel(), return_inverse=True)
+        self._fset = FrequencySet(1, frozenset(self._freqs.tolist()))
 
     @property
     def dim(self):
@@ -211,6 +208,14 @@ def _check_even_p(p):
     if int(p) != p or p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2 (exact quadrature regime)")
     return int(p)
+
+
+def _probe_args(spectrum, ensembles, p_grid=()):
+    """The arguments of a probe as it reads them: the spectrum (as_spectrum),
+    the ensembles as a tuple (one Ensemble or a sequence) and the p grid as
+    a tuple of even ints."""
+    ensembles = (ensembles,) if isinstance(ensembles, Ensemble) else tuple(ensembles)
+    return as_spectrum(spectrum), ensembles, tuple(_check_even_p(p) for p in p_grid)
 
 
 # Points per batched synthesis: the rows of one grid are transformed this
@@ -300,11 +305,15 @@ def _moment_ratios(freqs, V, p_grid):
 
 
 def even_p_ratio(coeffs, p) -> float:
-    """||f||_p / ||f||_2 for a 1D or nD coefficient table, exact rectangle rule."""
+    """||f||_p / ||f||_2 for a 1D or nD coefficient table, exact rectangle
+    rule.  The keys are frequencies of the first key's arity, checked by
+    torus._int_keys."""
     if not coeffs:
         raise ValueError("empty coefficient table")
+    keys = list(coeffs)
+    freqs = _int_keys(keys, np.size(keys[0]))
     values = np.array([list(coeffs.values())], dtype=np.complex128)
-    return float(_moment_ratios(list(coeffs), values, (_check_even_p(p),))[0, 0])
+    return float(_moment_ratios(freqs, values, (_check_even_p(p),))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -327,10 +336,7 @@ def best_ratios(spectrum, p_grid, ensembles):
     rectangle-rule ratio of a product table is the product of its per-axis
     1D ratios, so tensors are probed per axis.
     """
-    spectrum = as_spectrum(spectrum)
-    if isinstance(ensembles, Ensemble):
-        ensembles = (ensembles,)
-    p_grid = tuple(_check_even_p(p) for p in p_grid)
+    spectrum, ensembles, p_grid = _probe_args(spectrum, ensembles, p_grid)
     best = np.zeros(len(p_grid))
     for e in ensembles:
         if isinstance(spectrum, TensorSpectrum):
@@ -354,10 +360,7 @@ def growth_exponent(spectrum, p_grid, ensembles) -> GrowthReport:
     ``ensembles`` is one Ensemble or a sequence; the best ratio per p is the
     max over every member of every ensemble.
     """
-    spectrum = as_spectrum(spectrum)
-    if isinstance(ensembles, Ensemble):
-        ensembles = (ensembles,)
-    p_grid = tuple(_check_even_p(p) for p in p_grid)
+    spectrum, ensembles, p_grid = _probe_args(spectrum, ensembles, p_grid)
     if len(set(p_grid)) < 3:
         raise ValueError(f"need at least 3 distinct p values for a slope fit, got {p_grid}")
     ratios = best_ratios(spectrum, p_grid, ensembles)
@@ -457,11 +460,9 @@ def sidon_lower_bound(m, freqs, ensembles) -> float:
     over 16 phases).  The result is a lower bound on the best
     weighted-coefficient-sum constant, up to the grid sup-norm defect.
     """
-    spectrum = as_spectrum(freqs)
+    spectrum, ensembles, _ = _probe_args(freqs, ensembles)
     if spectrum.dim != 1:
         raise ValueError("sidon_lower_bound is 1D")
-    if isinstance(ensembles, Ensemble):
-        ensembles = (ensembles,)
     elems = spectrum.frequency_set().sorted_elements()
     if not elems:
         raise ValueError("empty spectrum")

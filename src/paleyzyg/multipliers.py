@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import FrequencySet
-from .torus import (TrigPoly, _chunked_sum, check_budget, periodic_square_function_norm,
-                    weighted_l2)
+from .torus import (TrigPoly, _chunked_sum, _int_keys, check_budget,
+                    periodic_square_function_norm, weighted_l2)
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ class MultiplierSeq:
 
     Forms: 'inverse-sqrt' (m(n) = 1/sqrt|n|, m(0) = 0, optionally restricted
     to n > 0), 'indicator' of a frequency set, 'table' (explicit map), and
-    'constant'.
+    'constant'.  A tabulated form's keys are checked by torus._int_keys, and
+    its horizon defaults to max |n| over them, or 1.
     """
 
     form: str
@@ -35,8 +36,6 @@ class MultiplierSeq:
     params: dict
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.form in ("indicator", "table"):
             # a call to values_at then has no O(|table|) set-up, so chunked
             # callers (paley_block_sums) may call it many times
@@ -44,9 +43,14 @@ class MultiplierSeq:
                 table, dtype = dict.fromkeys(self.params["set"], 1.0), np.float64
             else:
                 table, dtype = self.params["values"], np.complex128
-            keys = sorted(table)
-            object.__setattr__(self, "_keys", np.array(keys, dtype=np.int64))
-            object.__setattr__(self, "_values", np.array([table[n] for n in keys], dtype=dtype))
+            keys = _int_keys(list(table), 1)
+            order = np.argsort(keys)
+            object.__setattr__(self, "_keys", keys[order])
+            object.__setattr__(self, "_values", np.array(list(table.values()), dtype=dtype)[order])
+            top = int(np.abs(keys).max(initial=0)) or 1
+            object.__setattr__(self, "horizon", top if self.horizon is None else int(self.horizon))
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
     @staticmethod
     def inverse_sqrt(horizon, positive_only=False):
@@ -56,17 +60,12 @@ class MultiplierSeq:
     def indicator(freqs: FrequencySet, horizon=None):
         if freqs.dim != 1:
             raise ValueError("indicator multipliers are 1D")
-        elems = freqs.sorted_elements()
-        if horizon is None:
-            horizon = max((abs(n) for n in elems), default=1) or 1
-        return MultiplierSeq("indicator", int(horizon), {"set": frozenset(elems)})
+        return MultiplierSeq("indicator", horizon, {"set": freqs.elements})
 
     @staticmethod
     def table(values: dict, horizon=None):
-        tbl = {int(n): complex(c) for n, c in values.items() if complex(c) != 0}
-        if horizon is None:
-            horizon = max((abs(n) for n in tbl), default=1) or 1
-        return MultiplierSeq("table", int(horizon), {"values": tbl})
+        tbl = {n: complex(c) for n, c in values.items() if complex(c) != 0}
+        return MultiplierSeq("table", horizon, {"values": tbl})
 
     @staticmethod
     def constant(c, horizon):

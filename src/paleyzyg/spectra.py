@@ -1,12 +1,13 @@
 """Lacunary sequences, dyadic block combinatorics, sumsets, and product spectra."""
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
 
-from .torus import check_budget
+from .torus import _int_keys, check_budget
 
 
 @dataclass(frozen=True)
@@ -14,13 +15,14 @@ class LacunarySeq:
     """Strictly increasing positive integers with inf ratio > 1.
 
     A singleton is trivially lacunary (the ratio infimum over an empty pair
-    set is +inf).
+    set is +inf).  Terms are ints of any size; a term that is not an integer
+    raises TypeError (operator.index) rather than being truncated.
     """
 
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple(int(t) for t in self.terms)
+        terms = tuple(operator.index(t) for t in self.terms)
         if not terms:
             raise ValueError("empty sequence")
         if terms[0] < 1:
@@ -45,22 +47,15 @@ class LacunarySeq:
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Finite duplicate-free set of integer frequencies (1D ints or nD tuples)."""
+    """Finite duplicate-free set of integer frequencies (1D ints or nD
+    tuples), validated by the one key rule, torus._int_keys."""
 
     dim: int
     elements: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        elems = set()
-        for e in self.elements:
-            if self.dim == 1:
-                elems.add(int(e))
-            else:
-                t = tuple(int(v) for v in e)
-                if len(t) != self.dim:
-                    raise ValueError(f"element {e!r} has arity {len(t)}, expected {self.dim}")
-                elems.add(t)
-        object.__setattr__(self, "elements", frozenset(elems))
+        keys = _int_keys(list(self.elements), self.dim).tolist()
+        object.__setattr__(self, "elements", frozenset(keys if self.dim == 1 else map(tuple, keys)))
 
     def __len__(self):
         return len(self.elements)
@@ -139,14 +134,10 @@ def _signed_sums(terms, k):
     return combos, np.array(terms, dtype=np.int64)[combos] @ signs.T
 
 
-def sumset_bonami(lam: LacunarySeq, k, cap=4096):
-    """All signed k-fold sums over strictly decreasing index tuples.
-
-    Generates from the first T terms, with T the largest count whose raw
-    sum count C(T, k) * 2**k stays within cap; duplicates merge.  Returns
-    (FrequencySet, T) so runs are reproducible.  The sums are int64: a sum
-    that cannot fit is refused, as is a raw count over the budget.
-    """
+def _sumset(lam: LacunarySeq, k, cap):
+    """(T, tuples, sums) for the signed k-fold sums of lam, after the checks
+    of sumset_bonami: T terms are used, and tuples and sums are _signed_sums
+    of the first T terms."""
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -161,7 +152,18 @@ def sumset_bonami(lam: LacunarySeq, k, cap=4096):
     if sum(terms[-k:]) > np.iinfo(np.int64).max:
         raise ValueError(f"the {k}-fold sums of {terms[-k:]} do not fit in int64")
     check_budget(math.comb(T, k) * 2 ** k, f"signed {k}-fold sums of {T} terms")
-    sums = _signed_sums(terms, k)[1]
+    return (T, *_signed_sums(terms, k))
+
+
+def sumset_bonami(lam: LacunarySeq, k, cap=4096):
+    """All signed k-fold sums over strictly decreasing index tuples.
+
+    Generates from the first T terms, with T the largest count whose raw
+    sum count C(T, k) * 2**k stays within cap; duplicates merge.  Returns
+    (FrequencySet, T) so runs are reproducible.  The sums are int64: a sum
+    that cannot fit is refused, as is a raw count over the budget.
+    """
+    T, _, sums = _sumset(lam, k, cap)
     return FrequencySet(1, frozenset(sums.ravel().tolist())), T
 
 
@@ -173,8 +175,7 @@ def product_set(sets, cap=1 << 20):
     size = math.prod(len(s) for s in sets)
     if size > cap:
         raise ValueError(f"product size {size} exceeds cap {cap}")
-    elems = set(product(*(s.sorted_elements() for s in sets)))
-    return FrequencySet(len(sets), frozenset(elems))
+    return FrequencySet(len(sets), frozenset(product(*(s.sorted_elements() for s in sets))))
 
 
 def is_lacunary_with_ratio_in(seq, lo, hi):

@@ -39,14 +39,37 @@ def check_budget(points, what):
                          f"{_MAX_GRID_POINTS}")
 
 
-def _key_error(keys, dim):
-    """The error naming the first key that is not a frequency of arity dim."""
+def _check_keys(keys, dim):
+    """Raise ValueError naming the first key that is not a frequency of
+    arity dim, or that does not fit in int64."""
     shape, expect = ((), "an integer") if dim == 1 else ((dim,), f"a tuple of {dim} integers")
     for n in keys:
-        a = np.asarray(n)
-        if a.shape != shape or a.dtype.kind not in "iu":
-            return ValueError(f"frequency {n!r} is not {expect}")
-    return ValueError("frequencies do not fit in int64")
+        parts = np.asarray(n, dtype=object)     # each component as given
+        if parts.shape != shape or not all(isinstance(v, (int, np.integer)) for v in parts.flat):
+            raise ValueError(f"frequency {n!r} is not {expect}")
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in parts.flat):
+            raise ValueError(f"frequencies do not fit in int64: {n!r}")
+
+
+def _int_keys(keys, dim):
+    """The one rule for integer frequencies: keys, a list of frequencies of
+    arity dim (ints for dim 1, tuples of dim ints otherwise) or an array of
+    them, as an int64 array, (n,) for dim 1 and (n, dim) otherwise.
+
+    An int64 array comes back uncopied.  A key that is not an integer (a
+    tuple of dim integers) raises ValueError naming it, and so does one
+    past int64: nothing is truncated or wrapped (_check_keys)."""
+    shape = () if dim == 1 else (dim,)
+    try:
+        freqs = np.asarray(keys)
+    except ValueError:          # keys of mixed arity
+        freqs = None
+    if freqs is None or len(freqs) and (
+            freqs.shape[1:] != shape or freqs.dtype.kind not in "iu"
+            or freqs.dtype.kind == "u" and freqs.max() > np.iinfo(np.int64).max):
+        _check_keys(keys.tolist() if isinstance(keys, np.ndarray) else keys, dim)
+        freqs = np.array(keys, dtype=object)    # ints of kinds numpy promotes to float64
+    return freqs.astype(np.int64, copy=False).reshape((len(freqs),) + shape)
 
 
 def _lex_order(freqs):
@@ -71,12 +94,7 @@ class TrigPoly:
     def __init__(self, dim, coeffs=None):
         coeffs = {} if coeffs is None else coeffs
         object.__setattr__(self, "dim", dim)
-        keys = list(coeffs)
-        try:
-            freqs = np.array(keys)
-        except ValueError:
-            raise _key_error(keys, self.dim) from None
-        self._set_table(freqs, np.array(list(coeffs.values()), dtype=np.complex128), keys)
+        self._set_table(list(coeffs), np.array(list(coeffs.values()), dtype=np.complex128))
 
     @classmethod
     def from_arrays(cls, dim, freqs, values):
@@ -87,14 +105,14 @@ class TrigPoly:
         table's own, uncopied (see _set_table): do not write to them after."""
         p = cls.__new__(cls)
         object.__setattr__(p, "dim", dim)
-        p._set_table(np.asarray(freqs), np.asarray(values, dtype=np.complex128))
+        p._set_table(freqs, np.asarray(values, dtype=np.complex128))
         return p
 
     def _key(self, row):
         return int(row[0]) if self.dim == 1 else tuple(row.tolist())
 
-    def _set_table(self, freqs, values, keys=None):
-        """Validate the keys (as the array freqs) and the coefficients, then
+    def _set_table(self, freqs, values):
+        """Validate the keys freqs (by _int_keys) and the coefficients, then
         store the table, zero coefficients dropped, as freqs/values.
 
         No table-sized copy is made on the way: int64 freqs and complex128
@@ -104,14 +122,11 @@ class TrigPoly:
         lexicographic order otherwise)."""
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        freqs = _int_keys(freqs, self.dim)
         n = len(freqs)
-        if n and (freqs.shape[1:] != (() if self.dim == 1 else (self.dim,))
-                  or freqs.dtype.kind not in "iu"
-                  or freqs.dtype.kind == "u" and freqs.max() > np.iinfo(np.int64).max):
-            raise _key_error(freqs.tolist() if keys is None else keys, self.dim)
         if values.shape != (n,):
             raise ValueError(f"{values.size} coefficients for {n} frequencies")
-        freqs = freqs.astype(np.int64, copy=False).reshape(n, self.dim)
+        freqs = freqs.reshape(n, self.dim)
         if not np.isfinite(values).all():
             first = np.argmin(np.isfinite(values))
             raise ValueError(f"non-finite coefficient at {self._key(freqs[first])!r}")

@@ -40,12 +40,13 @@ def blocks_meeting(lo, hi):
     """Integer scales k whose window eta(2**-k .) is nonzero somewhere on [lo, hi].
 
     The window at scale k lives on 2**k < |xi| < 3 * 2**k.  lo, hi are
-    positive magnitudes with 0 < lo <= hi.
+    positive magnitudes with 0 < lo <= hi; a subnormal lo is met by its
+    subnormal scales.
     """
     if hi <= 0:
         return range(0, 0)
-    lo = max(lo, np.finfo(float).tiny)
-    k_lo = int(np.floor(np.log2(lo / 3.0))) + 1
+    lo = max(lo, np.finfo(float).smallest_subnormal)
+    k_lo = int(np.floor(np.log2(lo))) - 1      # 3 * 2**k > lo from k_lo or k_lo + 1 on
     k_hi = int(np.ceil(np.log2(hi)))
     ks = [k for k in range(k_lo - 1, k_hi + 1)
           if 2.0 ** k < hi and 3.0 * 2.0 ** k > lo]
@@ -53,15 +54,16 @@ def blocks_meeting(lo, hi):
 
 
 def partition_sum(xi, k_min=None, k_max=None):
-    """sum_k eta(2**-k * xi) over k in [k_min, k_max] (full telescoping sum if None)."""
+    """sum_k eta(2**-k * xi) over k in [k_min, k_max].  A bound left None is
+    the first or last scale of blocks_meeting the |xi| range, so that both
+    None give the full telescoping sum: every other scale adds exactly 0.0."""
     xi = np.asarray(xi, dtype=float)
-    mags = np.abs(xi[xi != 0]) if xi.ndim else np.array([abs(float(xi))])
+    mags = np.abs(xi[xi != 0])
     if mags.size == 0:
-        return np.zeros_like(xi)
-    if k_min is None:
-        k_min = int(np.floor(np.log2(mags.min() / 3.0)))
-    if k_max is None:
-        k_max = int(np.ceil(np.log2(mags.max())))
+        return np.zeros_like(xi) if xi.ndim else 0.0
+    ks = blocks_meeting(mags.min(), mags.max())
+    k_min = ks[0] if k_min is None else k_min
+    k_max = ks[-1] if k_max is None else k_max
     total = np.zeros(np.shape(xi))
     for k in range(k_min, k_max + 1):
         total = total + eta_scaled(xi, k)

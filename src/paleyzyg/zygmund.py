@@ -139,8 +139,11 @@ _CORPUS_MAX_PER_BLOCK = 3
 
 def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240):
     """Seeded random polynomials whose support meets every shifted block
-    k in [k_lo, k_hi]; coefficients are complex gaussians."""
-    check_budget(count * max(0, k_hi - k_lo + 1) * _CORPUS_MAX_PER_BLOCK,
+    k in [k_lo, k_hi]; coefficients are complex gaussians.  An empty range,
+    k_hi < k_lo, raises ValueError."""
+    if k_hi < k_lo:
+        raise ValueError(f"empty block range {k_lo}..{k_hi}")
+    check_budget(count * (k_hi - k_lo + 1) * _CORPUS_MAX_PER_BLOCK,
                  f"a corpus of {count} polynomials on blocks {k_lo}..{k_hi}")
     polys = []
     for t in range(count):

@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from paleyzyg import extremals, torus
+from paleyzyg import (Ensemble, FrequencySet, best_ratios, extremals, geometric_lacunary,
+                      torus)
 from paleyzyg.cli import main
 
 
@@ -209,6 +210,42 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("paley-check", "--form", "indicator:99999999999999999999"),
+         "frequencies do not fit in int64: 99999999999999999999"),
+        (("sidon-lb", "--form", "indicator:99999999999999999999"),
+         "frequencies do not fit in int64: 99999999999999999999"),
+        (("paley-check", "--form", "indicator:1,2.5"), "invalid literal for int()"),
+        (("paley-check", "--form", "indicator:"), "--form takes a comma list with no empty item"),
+        (("lambda-p", "--p", "4,,8"), "--p takes a comma list with no empty item, got '4,,8'"),
+        (("lambda-p", "--p", ""), "--p takes a comma list with no empty item, got ''"),
+        (("bonami", "--p", "4,8,16,"), "--p takes a comma list with no empty item"),
+        (("bonami", "--ensemble", "flat,,phase-ascent"), "--ensemble takes a comma list"),
+        (("sidon-lb", "--ensemble", ","), "--ensemble takes a comma list"),
+        (("lambda-p", "--ensemble", "flat,bogus"), "unknown ensemble kind 'bogus'"),
+        (("sharpness", "--n-min", "4", "--n-max", "5", "--r", "0.25,,0.5"),
+         "--r takes a comma list with no empty item"),
+        (("rline-paley", "--measure", "atoms:1", "--corpus", "1"),
+         "--measure atom '1' is not an xi,w pair"),
+        (("rline-paley", "--measure", "atoms:3,1;4,1,2", "--corpus", "1"),
+         "--measure atom '4,1,2' is not an xi,w pair"),
+        (("rline-zygmund", "--measure", "atoms:3,1;", "--gap", "1", "--corpus", "1"),
+         "--measure takes a comma list with no empty item"),
+        (("zygmund-ratio", "--corpus", "1", "--k-lo", "5", "--k-hi", "3"),
+         "empty block range 5..3"),
+        (("rline-paley", "--measure", "atoms:3,1", "--k-min", "5", "--k-max", "3",
+          "--corpus", "1"), "empty block range 5..3"),
+        (("rline-zygmund", "--measure", "atoms:3,1", "--gap", "1", "--k-min", "5",
+          "--k-max", "3", "--corpus", "1"), "empty block range 5..3"),
+        (("rline-paley", "--k-min", "5", "--k-max", "3", "--corpus", "1"),
+         "k_max must be >= k_min")])
+    def test_malformed_lists_and_empty_ranges_exit_1(self, capsys, argv, message):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert message in captured.err
+
     def test_ingham_verdict_success(self, capsys):
         code, out = run_cli(capsys, "ingham", "--m-min", "8", "--m-max", "11",
                             "--sum-limit", "10000", "--format", "json")
@@ -265,6 +302,18 @@ class TestReports:
         code, out = run_cli(capsys, "rline-zygmund", "--corpus", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["provenance"]["max_ratio"] > 0
+
+    def test_lambda_p_reads_an_ensemble_list(self, capsys):
+        code, out = run_cli(capsys, "lambda-p", "--count", "5", "--p", "4,8,16", "--trials", "3",
+                            "--ensemble", "flat,phase-ascent,random-signs", "--format", "json")
+        assert code == 0
+        fs = FrequencySet(1, frozenset(geometric_lacunary(2, 5).terms))
+        enss = [Ensemble(kind, seed=101, trials=3)
+                for kind in ("flat", "phase-ascent", "random-signs")]
+        want = best_ratios(fs, (4, 8, 16), enss)
+        assert [row[1] for row in json.loads(out)["rows"]] == list(want)
+        # the best over the list is the max of the bests over its members
+        assert want == tuple(max(r) for r in zip(*(best_ratios(fs, (4, 8, 16), e) for e in enss)))
 
     def test_sidon_lb(self, capsys):
         code, out = run_cli(capsys, "sidon-lb", "--count", "4", "--trials", "4",

@@ -134,6 +134,27 @@ class TestGrowthExponent:
         assert [row[0] for row in data["rows"]] == [4, 8, 16]
 
 
+class TestProbeArgs:
+    FS = FrequencySet(1, frozenset(geometric_lacunary(2, 6).terms))
+
+    def test_one_ensemble_reads_as_a_list_of_one(self):
+        e = Ensemble("random-signs", seed=3, trials=4)
+        assert best_ratios(self.FS, (4, 8), e) == best_ratios(self.FS, [4, 8], [e])
+        assert growth_exponent(self.FS, (4, 8, 16), e) == growth_exponent(self.FS, [4, 8, 16], (e,))
+        m = MultiplierSeq.constant(1.0, 32)
+        assert sidon_lower_bound(m, self.FS, e) == sidon_lower_bound(m, self.FS, [e])
+
+    def test_every_probe_checks_alike(self):
+        e = Ensemble("flat")
+        for probe in (best_ratios, growth_exponent):
+            with pytest.raises(ValueError, match="p must be an even integer"):
+                probe(self.FS, (4, 6, 9), e)
+            with pytest.raises(TypeError, match="cannot interpret"):
+                probe({1, 2}, (4, 8, 16), e)
+        with pytest.raises(TypeError, match="cannot interpret"):
+            sidon_lower_bound(MultiplierSeq.constant(1.0, 4), {1, 2}, e)
+
+
 class TestTensor:
     def test_rank_one_identity_vs_full_transform(self):
         cg = {1: 1 + 0j, 2: -1 + 0j, 4: 1 + 0j}

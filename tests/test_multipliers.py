@@ -54,6 +54,16 @@ class TestForms:
         assert MultiplierSeq.indicator(FrequencySet(1, frozenset())).sup_norm() == 0.0
         assert MultiplierSeq.indicator(FrequencySet(1, frozenset([-2]))).sup_norm() == 1.0
 
+    @pytest.mark.parametrize("keys, horizon", [
+        ([], 1), ([0], 1), ([0, -3], 3), ([5, -40, 7], 40), ([np.int64(-9), np.uint64(2)], 9)])
+    def test_tabulated_horizon_defaults_to_the_largest_key(self, keys, horizon):
+        indicator = MultiplierSeq.indicator(FrequencySet(1, frozenset(keys)))
+        table = MultiplierSeq.table(dict.fromkeys(keys, 2.0))
+        assert indicator.horizon == table.horizon == horizon
+        assert type(indicator.horizon) is int and type(table.horizon) is int
+        assert MultiplierSeq.table({3: 1.0}, horizon=np.int64(16)).horizon == 16
+        assert table.values_at(np.array(keys, dtype=np.int64)).tolist() == [2.0] * len(keys)
+
     @pytest.mark.parametrize("keys", [[], [0], [-64], [64], [-64, 64], [-64, -63, 0, 63, 64],
                                       [-50, -9, -1, 2, 3, 27, 40]])
     def test_tabulated_lookup_matches_a_dict(self, keys):

@@ -31,6 +31,16 @@ class TestLacunarySeq:
     def test_singleton_trivially_lacunary(self):
         assert LacunarySeq((5,)).ratio == math.inf
 
+    @pytest.mark.parametrize("terms", [(1.5, 3), (1, 3.2), (1, np.float64(4.0)), (1, "4")])
+    def test_non_integer_terms_rejected_not_truncated(self, terms):
+        with pytest.raises(TypeError):
+            LacunarySeq(terms)
+
+    def test_integer_terms_of_any_kind_and_size_kept(self):
+        lam = LacunarySeq((np.int32(1), np.uint64(3), 2 ** 64, 2 ** 70))
+        assert lam.terms == (1, 3, 2 ** 64, 2 ** 70)
+        assert all(type(t) is int for t in lam.terms)
+
     def test_not_increasing_rejected_with_index(self):
         # strictly increasing positive integers always have ratio > 1, so the
         # only reachable constructor failure is monotonicity
@@ -129,7 +139,7 @@ class TestSumset:
         want = loop_sums(lam.terms[:T], k)
         assert fs.elements == frozenset(want)
         spec = SumsetSpectrum(lam, k, cap)
-        assert spec.used_terms == T
+        assert spec.used_terms == T and spec.frequency_set() == fs
         assert spec._freqs.tolist() == sorted(set(want))
         assert spec._freqs[spec._bins].tolist() == want
 

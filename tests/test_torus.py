@@ -1,6 +1,7 @@
 """Transforms, norms, and functionals on the torus."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,76 @@ class TestTrigPoly:
             TrigPoly(1, {2 ** 63: 1.0})
         with pytest.raises(ValueError, match="do not fit in int64"):
             TrigPoly.from_arrays(1, np.array([2 ** 63], dtype=np.uint64), np.ones(1))
+
+
+def loop_keys(keys, dim):
+    """The frequency keys by a per-element loop, the reference for
+    _int_keys: int() of each key, or of each component of a tuple of dim."""
+    if dim == 1:
+        return [int(n) for n in keys]
+    return [tuple(int(v) for v in n) for n in keys]
+
+
+class TestIntKeys:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_int_keys_match_the_per_element_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        kinds = (int, np.int64, np.int32, np.uint64, np.int8)
+        keys = []
+        for i, v in enumerate(rng.integers(0, 100, size=(60, dim)).tolist()):
+            parts = [kinds[(i + j) % len(kinds)](x) for j, x in enumerate(v)]
+            keys.append(parts[0] if dim == 1 else tuple(parts))
+        keys += [2 ** 63 - 1, -2 ** 63] if dim == 1 else [(2 ** 63 - 1, -2 ** 63)]
+        got = torus._int_keys(keys, dim)
+        assert got.dtype == np.int64
+        assert got.shape == ((len(keys),) if dim == 1 else (len(keys), dim))
+        want = loop_keys(keys, dim)
+        assert (got.tolist() if dim == 1 else list(map(tuple, got.tolist()))) == want
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_int64_arrays_come_back_uncopied(self, dim):
+        freqs = np.arange(12, dtype=np.int64).reshape((12,) if dim == 1 else (6, 2))
+        got = torus._int_keys(freqs, dim)
+        assert np.shares_memory(got, freqs) and got.shape == freqs.shape
+        assert torus._int_keys(np.arange(3, dtype=np.uint64), 1).tolist() == [0, 1, 2]
+        assert torus._int_keys([], dim).shape == ((0,) if dim == 1 else (0, dim))
+
+    @pytest.mark.parametrize("key", [2.5, 2.7, np.float64(3.0), "3", None])
+    def test_non_integers_are_not_truncated(self, key):
+        assert loop_keys([2.5], 1) == [2]           # what the loop did
+        with pytest.raises(ValueError, match=re.escape(f"frequency {key!r} is not an integer")):
+            torus._int_keys([1, key], 1)
+        with pytest.raises(ValueError, match="is not a tuple of 2 integers"):
+            torus._int_keys([(1, 2), (key, 1)], 2)
+
+    @pytest.mark.parametrize("key", [2 ** 63, 2 ** 64, 2 ** 70, -2 ** 63 - 1])
+    def test_integers_past_int64_are_named(self, key):
+        with pytest.raises(ValueError, match=f"do not fit in int64: {key}"):
+            torus._int_keys([1, key], 1)
+        with pytest.raises(ValueError, match=f"do not fit in int64: \\(3, {key}\\)"):
+            torus._int_keys([(3, key)], 2)
+
+    @pytest.mark.parametrize("key, message", [
+        (2.5, "frequency 2.5 is not an integer"),
+        (2 ** 70, f"frequencies do not fit in int64: {2 ** 70}")])
+    @pytest.mark.parametrize("build", [
+        lambda n: FrequencySet(1, frozenset([3, n])),
+        lambda n: MultiplierSeq.table({3: 1.0, n: 1.0}),
+        lambda n: even_p_ratio({3: 1.0, n: 1.0}, 4),
+        lambda n: TrigPoly(1, {3: 1.0, n: 1.0})],
+        ids=["FrequencySet", "MultiplierSeq.table", "even_p_ratio", "TrigPoly"])
+    def test_one_key_rule_for_every_table(self, build, key, message):
+        with pytest.raises(ValueError, match=message):
+            build(key)
+
+    def test_nd_tables_share_the_rule(self):
+        for build in (lambda keys: FrequencySet(2, frozenset(keys)),
+                      lambda keys: even_p_ratio(dict.fromkeys(keys, 1.0), 4),
+                      lambda keys: TrigPoly(2, dict.fromkeys(keys, 1.0))):
+            with pytest.raises(ValueError, match=r"frequency \(1, 2.5\) is not a tuple of 2"):
+                build([(0, 1), (1, 2.5)])
+            with pytest.raises(ValueError, match="is not a tuple of 2 integers"):
+                build([(0, 1), (1, 2, 3)])
 
 
 def plain_samples(n, c, M):

@@ -61,3 +61,37 @@ def test_inverse_transform_matches_riemann_sum():
 def test_inverse_transform_at_zero_is_window_mass():
     # 2 * int_1^3 eta = 2 * (0.25 + 0.5 + 0.5) = 2.5
     assert window.eta_inverse_transform(np.array([0.0]))[0] == pytest.approx(2.5, abs=1e-12)
+
+
+def floor_ceil_partition_sum(xi, k_min=None, k_max=None):
+    """The reference for partition_sum's default range: k from
+    floor(log2(min |xi| / 3)) to ceil(log2(max |xi|)) over the nonzero xi."""
+    mags = np.abs(xi[xi != 0])
+    if k_min is None:
+        k_min = int(np.floor(np.log2(mags.min() / 3.0)))
+    if k_max is None:
+        k_max = int(np.ceil(np.log2(mags.max())))
+    total = np.zeros(np.shape(xi))
+    for k in range(k_min, k_max + 1):
+        total = total + window.eta_scaled(xi, k)
+    return total
+
+
+@pytest.mark.parametrize("xi", [
+    np.concatenate([np.logspace(-6, 8, 4001), -np.logspace(-3, 5, 100)]),
+    np.random.default_rng(3).uniform(-50.0, 50.0, 1000),
+    np.concatenate([2.0 ** np.arange(-30, 31), 3.0 * 2.0 ** np.arange(-30, 31), [0.0]]),
+    np.array([1.0, 1.5, 3.0]),
+    np.array([2.0 ** -1070, 1e-310, 2.0 ** -1022, 1e-300, 7.0])])
+def test_default_range_adds_what_the_floor_ceil_range_adds(xi):
+    # the scales partition_sum no longer visits add exactly 0.0
+    with np.errstate(over="ignore"):
+        assert np.array_equal(window.partition_sum(xi), floor_ceil_partition_sum(xi))
+        for k_min, k_max in ((-3, None), (None, 4), (2, 1)):
+            assert np.array_equal(window.partition_sum(xi, k_min, k_max),
+                                  floor_ceil_partition_sum(xi, k_min, k_max))
+
+
+def test_partition_sum_of_a_scalar():
+    assert window.partition_sum(5.0) == 1.0 and window.partition_sum(0.0) == 0.0
+    assert window.partition_sum(2.0 ** -1070) == 1.0

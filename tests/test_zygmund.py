@@ -87,6 +87,11 @@ class TestSplit:
                 for a, b in zip(seq.terms, seq.terms[1:]):
                     assert 2.0 <= b / a <= 16.0
 
+    def test_empty_block_range_rejected(self):
+        with pytest.raises(ValueError, match="empty block range 5..3"):
+            block_filling_corpus(1, k_lo=5, k_hi=3)
+        assert len(block_filling_corpus(2, k_lo=3, k_hi=3)[0].support) >= 1
+
 
 class TestShiftedBlocks:
     def test_partition_up_to_2_pow_20(self):
