@@ -81,12 +81,15 @@ def _resolve_output(args, name):
 
 def _items(text, cast, flag):
     """The comma list text of flag, each item read by cast: the one list
-    rule of the command line.  An empty list or item raises ValueError
-    naming the flag."""
+    rule of the command line.  An empty list or item, or one that cast
+    rejects, raises ValueError naming the flag."""
     items = text.split(",")
     if not all(item.strip() for item in items):
         raise ValueError(f"{flag} takes a comma list with no empty item, got {text!r}")
-    return [cast(item) for item in items]
+    try:
+        return [cast(item) for item in items]
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
 
 
 def _parse_multiplier(form, horizon, two_sided):
@@ -208,6 +211,11 @@ def cmd_sidon_lb(args):
 
 
 def _parse_measure(args):
+    """The measure of a real-line command, after the one check of its block
+    range."""
+    if args.k_max < args.k_min:
+        raise ValueError(f"empty block range {args.k_min}..{args.k_max}: "
+                         "--k-max must be >= --k-min")
     if args.measure == "inverse-abs":
         if args.gap != 0.0:
             raise ValueError("--gap applies to atoms only; inverse-abs vanishes below "

@@ -238,7 +238,15 @@ class TestExitCodes:
         (("rline-zygmund", "--measure", "atoms:3,1", "--gap", "1", "--k-min", "5",
           "--k-max", "3", "--corpus", "1"), "empty block range 5..3"),
         (("rline-paley", "--k-min", "5", "--k-max", "3", "--corpus", "1"),
-         "k_max must be >= k_min")])
+         "empty block range 5..3: --k-max must be >= --k-min"),
+        (("rline-zygmund", "--k-min", "5", "--k-max", "3", "--corpus", "1"),
+         "empty block range 5..3: --k-max must be >= --k-min"),
+        (("paley-check", "--form", "indicator:1,2.5"),
+         "--form: invalid literal for int() with base 10: '2.5'"),
+        (("lambda-p", "--p", "4,x"), "--p: invalid literal for int() with base 10: 'x'"),
+        (("sharpness", "--r", "0.5,abc"), "--r: could not convert string to float: 'abc'"),
+        (("rline-paley", "--measure", "atoms:3,w", "--corpus", "1"),
+         "--measure: could not convert string to float: 'w'")])
     def test_malformed_lists_and_empty_ranges_exit_1(self, capsys, argv, message):
         assert main(list(argv)) == 1
         captured = capsys.readouterr()

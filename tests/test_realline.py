@@ -221,10 +221,8 @@ class TestPaleyMeasure:
         dens = PaleyMeasure.inverse_abs(-5, 5)
         assert dens.block_masses(-7, 7) == [dens.block_mass(k) for k in range(-7, 8)]
 
-    @pytest.mark.parametrize("density", [lambda xi: 1.0 / xi, lambda xi: np.exp(-xi) + xi ** 2,
-                                         lambda xi: np.sqrt(xi), lambda xi: np.cos(xi) ** 2])
-    def test_density_block_masses_keep_the_bits_of_each_block_alone(self, density):
-        mu = PaleyMeasure.from_density(density, -6, 8)
+    def test_density_block_masses_keep_the_bits_of_each_block_alone(self):
+        mu = PaleyMeasure.inverse_abs(-6, 8)
         for k_lo, k_hi in ((-40, 12), (5, 2), (0, 1000), (-6, 8), (3, 3), (-9, -7)):
             want = [realline._sum_by_block(mu._nodes((k, k))[1]) for k in range(k_lo, k_hi + 1)]
             assert repr(mu.block_masses(k_lo, k_hi)) == repr(want)
@@ -245,13 +243,20 @@ class TestPaleyMeasure:
 
     @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf, -1.0])
     def test_gap_must_be_finite_and_non_negative(self, gap):
-        one_over = lambda xi: 1.0 / xi
         for build in (lambda: PaleyMeasure.from_atoms([(3.0, 1.0)], gap=gap),
-                      lambda: PaleyMeasure.from_density(one_over, 0, 2, gap=gap),
-                      lambda: PaleyMeasure(kind="density", density=one_over, gap=gap)):
+                      lambda: PaleyMeasure(kind="density", k_min=0, k_max=2, gap=gap)):
             with pytest.raises(ValueError, match="gap must be finite and >= 0"):
                 build()
-        assert PaleyMeasure.from_density(one_over, 0, 2, gap=0.0).gap == 0.0
+        assert PaleyMeasure.from_atoms([(3.0, 1.0)], gap=0.0).gap == 0.0
+        assert PaleyMeasure.inverse_abs(-3, 2).gap == 0.125
+
+    def test_measures_are_data(self):
+        # equal measures compare and hash equal, whichever call built them
+        for build in (lambda: PaleyMeasure.inverse_abs(-2, 4),
+                      lambda: PaleyMeasure.from_atoms([(3.0, 1.0), (-5.0, 2.0)], gap=1.0)):
+            assert build() == build() and hash(build()) == hash(build())
+        assert len({PaleyMeasure.inverse_abs(-2, 4), PaleyMeasure.inverse_abs(-2, 4),
+                    PaleyMeasure.inverse_abs(-10, 4)}) == 2
 
     def test_nodes_name_the_block_of_each_row(self):
         mu = PaleyMeasure.inverse_abs(-3, 5)
@@ -419,14 +424,6 @@ class TestBlockTables:
             want = dense_mu_l2_sq(mu, s, k_range)
             assert abs(mu_l2_sq(mu, s, k_range) - want) <= 3e-13 * mass * s.l1() ** 2
 
-    def test_user_density(self):
-        mu = PaleyMeasure.from_density(lambda xi: np.exp(-xi) + xi ** 2, -4, 3, name="user")
-        for s in random_mean_zero_corpus(3, seed=2):
-            for k_range in (None, (-6, 1), (-1, -1)):
-                want = dense_mu_l2_sq(mu, s, k_range)
-                mass = float(np.sum(mu._nodes(k_range)[1]))
-                assert abs(mu_l2_sq(mu, s, k_range) - want) <= 3e-13 * mass * s.l1() ** 2
-
     @pytest.mark.parametrize("k_range", [(-10, 4), (-2, 4), (-6, -4), (-12, -5)])
     def test_square_function_is_the_sum_of_its_blocks(self, k_range):
         # blocks -12..-5 hold no dual-grid point m/8 of the L = 4 corpus, and
@@ -502,6 +499,15 @@ class TestRudin:
         rep = rudin_counterexample(mu, 6)
         assert 0 < len(rep.partial_signals) < 6
 
+    def test_a_block_4_partial_sum_is_the_scaled_kernel(self, psi_by_quadrature):
+        # one atom in block 4, the top block of the corpus window: the partial
+        # sum is 2^4 psi(2^4 x), with |2^4 x| <= 64
+        rep = rudin_counterexample(PaleyMeasure.from_atoms([(24.0, 1.0)]), 1)
+        assert rep.block_indices == (4,) and len(rep.partial_signals) == 1
+        s = rep.partial_signals[0]
+        want = 16.0 * psi_by_quadrature(16.0 * s.x())
+        assert np.abs(s.values - want).max() <= 1e-12
+
     @pytest.mark.parametrize("k", range(21))
     def test_partials_stop_where_three_times_two_to_k_leaves_the_band(self, k):
         # the cut 3 * 2^k <= band keeps the same blocks as default_k_range's
@@ -520,6 +526,8 @@ class TestLineZygmund:
             paley_inequality_probe(mu, [s], (5, 3))
         with pytest.raises(ValueError, match="empty block range 5..3"):
             zygmund_realline_probe(mu, s, (5, 3))
+        with pytest.raises(ValueError, match="empty block range 5..3"):
+            square_function_norm(s, (5, 3))
         assert mu.block_masses(5, 3) == [] and paley_inequality_probe(mu, [s], (3, 3)).rows
 
     def test_missing_gap_rejected_with_pointer(self):
@@ -569,11 +577,21 @@ class TestProduct:
         assert rep.verdict == "bounded-in-range"
 
     def test_product_identity(self):
-        mu = PaleyMeasure.from_atoms([(1.5, 2.0), (3.0, 0.5), (50.0, 1.0)])
-        nu = PaleyMeasure.inverse_abs(-2, 6)
-        rep = product_paley_sup_2d(mu, nu, (-2, 6))
-        assert rep.product_identity_gap <= 1e-12
-        assert rep.sup == pytest.approx(rep.factor_sups[0] * rep.factor_sups[1], rel=1e-12)
+        # (mu x nu)(I_j x I_k) = mu(I_j) nu(I_k): the sup over every block
+        # rectangle is the product of the 1D sups, bit for bit
+        atoms = PaleyMeasure.from_atoms([(1.5, 2.0), (3.0, 0.5), (50.0, 1.0)])
+        thirds = PaleyMeasure.from_atoms([(1.5 * 2.0 ** k, 0.1 * (k % 3) + 1 / 3)
+                                          for k in range(-4, 12)])
+        measures = (atoms, thirds, PaleyMeasure.inverse_abs(-2, 6),
+                    PaleyMeasure.inverse_abs(-20, 3), PaleyMeasure.from_atoms([]))
+        for mu in measures:
+            for nu in measures:
+                for k_range in ((-2, 6), (-30, 12), (4, 4), (5, 3)):
+                    rep = product_paley_sup_2d(mu, nu, k_range)
+                    grid = np.multiply.outer(mu.block_masses(*k_range), nu.block_masses(*k_range))
+                    assert rep.sup == (grid.max() if grid.size else 0.0)
+                    assert rep.factor_sups == (paley_sup(mu, k_range).sup,
+                                               paley_sup(nu, k_range).sup)
 
     def test_unbounded_factor_flagged(self):
         mu = PaleyMeasure.from_atoms([(1.5 * 2.0 ** k, float(k + 1)) for k in range(12)])

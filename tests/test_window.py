@@ -59,8 +59,20 @@ def test_inverse_transform_matches_riemann_sum():
 
 
 def test_inverse_transform_at_zero_is_window_mass():
-    # 2 * int_1^3 eta = 2 * (0.25 + 0.5 + 0.5) = 2.5
-    assert window.eta_inverse_transform(np.array([0.0]))[0] == pytest.approx(2.5, abs=1e-12)
+    # 2 * int_1^3 eta = 2 * (0.25 + 0.5 + 0.5) = 2.5, also where (2 pi x)^2
+    # underflows
+    assert window.eta_inverse_transform(0.0) == 2.5
+    assert window.eta_inverse_transform(np.array([1e-300, 5e-324])).tolist() == [2.5, 2.5]
+
+
+def test_inverse_transform_matches_quadrature_on_each_piece(psi_by_quadrature):
+    # small x, where the 1 - cos form loses 5.5e-12, and all of x <= 64, where
+    # the Rudin partial sums of the corpus window read psi
+    xs = np.concatenate([[1e-12, 1e-8, 1e-5, 1e-3, 0.01], np.linspace(0.0, 64.0, 1025)[1:],
+                         np.linspace(45.0, 64.0, 97)])
+    got = window.eta_inverse_transform(xs)
+    assert np.abs(got - psi_by_quadrature(xs)).max() <= 1e-14
+    assert np.array_equal(window.eta_inverse_transform(-xs), got)
 
 
 def floor_ceil_partition_sum(xi, k_min=None, k_max=None):
@@ -95,3 +107,14 @@ def test_default_range_adds_what_the_floor_ceil_range_adds(xi):
 def test_partition_sum_of_a_scalar():
     assert window.partition_sum(5.0) == 1.0 and window.partition_sum(0.0) == 0.0
     assert window.partition_sum(2.0 ** -1070) == 1.0
+
+
+def test_every_finite_magnitude_is_covered():
+    # 2**1023 is the top scale: 2**1024 is no float
+    assert window.blocks_meeting(1.0, 1.7e308)[-1] == 1023
+    assert window.blocks_meeting(1e308, np.finfo(float).max) == [1022, 1023]
+    assert window.partition_sum(1e308) == 1.0
+    # scales from 2**-1000 up: 1e308 / 2**k overflows, where eta is 0, and
+    # the suite makes the RuntimeWarning of an overflow an error
+    xi = np.array([1e-300, -1e308, np.finfo(float).max, 5.0])
+    assert window.partition_sum(xi).tolist() == [1.0] * 4
