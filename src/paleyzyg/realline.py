@@ -66,7 +66,7 @@ nodes do not follow.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,6 +278,15 @@ class PaleyMeasure:
     gap: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("atoms", "density"):
+            raise ValueError(f"kind must be 'atoms' or 'density', got {self.kind!r}")
+        if self.kind == "density":
+            if self.k_max < self.k_min:
+                raise ValueError("k_max must be >= k_min")
+            # below block -1022 the nodes are subnormal or 0; past 1022, 2^{k+1} overflows
+            if self.k_min < -1022 or self.k_max > 1022:
+                raise ValueError("density blocks must lie in -1022..1022, "
+                                 f"got {self.k_min}..{self.k_max}")
         if not (math.isfinite(self.gap) and self.gap >= 0):
             raise ValueError(f"gap must be finite and >= 0, got {self.gap}")
         for xi, w in self.atoms:
@@ -296,14 +305,10 @@ class PaleyMeasure:
     @staticmethod
     def inverse_abs(k_min, k_max):
         """Density |xi|^{-1} restricted to the blocks k_min..k_max, which
-        vanishes on [-2^k_min, 2^k_min]."""
-        k_min, k_max = int(k_min), int(k_max)
-        if k_max < k_min:
-            raise ValueError("k_max must be >= k_min")
-        # below block -1022 the nodes are subnormal or 0; past 1022, 2^{k+1} overflows
-        if k_min < -1022 or k_max > 1022:
-            raise ValueError(f"density blocks must lie in -1022..1022, got {k_min}..{k_max}")
-        return PaleyMeasure(kind="density", k_min=k_min, k_max=k_max, gap=2.0 ** k_min)
+        vanishes on [-2^k_min, 2^k_min].  The block range is checked before
+        the gap is computed."""
+        mu = PaleyMeasure(kind="density", k_min=int(k_min), k_max=int(k_max))
+        return replace(mu, gap=2.0 ** mu.k_min)
 
     def block_nodes(self, k):
         """The nodes and weights of the signed block +-[2^k, 2^{k+1}), as

@@ -12,9 +12,13 @@ axes, so a row of a stack has the bits of that table alone.
 by one inverse FFT, or, on grids of 2^16 points or more, in cache-sized
 blocks, by a pruned four-step FFT for sparse tables and by output
 decimation for dense tables of small span (forms, thresholds and measured
-errors in its docstring).  ``_abs_readings``, the one kernel of
-``lp_norm`` and ``orlicz_functional``, reduces those blocks one by one, so
-the Orlicz means and the Ingham and Sidon sups build no sample array.
+errors in its docstring).  ``_abs_readings``, the one reduction of
+``lp_norm`` and ``orlicz_functional``, reduces those blocks one by one
+through the per-block kernel ``_block_partials``, so the Orlicz means and
+the Ingham and Sidon sups build no sample array.  On two or more CPUs
+``_split_readings`` reads the split blocks in two runs, the second on a
+thread joined before the call returns, with the bits of one run; the
+decimation stays serial.
 ``_dyadic_blocks`` is the one Littlewood-Paley block loop, for the torus
 and the real line alike (``realline`` reads its blocks off the FFT of a
 signal's samples).
@@ -22,6 +26,8 @@ signal's samples).
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,6 +265,29 @@ def _sizes_tuple(sizes, dim):
     return tuple(int(m) for m in sizes)
 
 
+def _takes_split(M, terms):
+    """Whether a table of `terms` terms on M points takes the split form of
+    _sample_blocks."""
+    return M >= _SPLIT_MIN_POINTS and M % _SPLIT_ROWS == 0 and terms <= _SPLIT_ROWS // 4
+
+
+def _split_filler(n, values, M):
+    """fill(c0, X): the columns c0 .. min(c0 + _SPLIT_COLUMNS, P) - 1 of
+    the split of the table (n, values) on M points, sampled into the
+    leading rows of X, a (_SPLIT_COLUMNS, _SPLIT_ROWS) complex buffer, and
+    returned as the block, the transposed view of those rows."""
+    n = n % M
+    rows, P = n % _SPLIT_ROWS, M // _SPLIT_ROWS
+
+    def fill(c0, X):
+        a = np.arange(c0, min(c0 + _SPLIT_COLUMNS, P))
+        B = X[:len(a)]
+        B.fill(0)
+        np.add.at(B.T, rows, np.exp((2j * np.pi / M) * (n[:, None] * a % M)) * values[:, None])
+        return np.fft.ifft(B, norm="forward", out=B).T
+    return fill
+
+
 def _sample_blocks(freqs, values, M):
     """Samples of sum_n values[n] e^{2 pi i n j / M}, j < M, in blocks, for
     the blocked readings of _grid_readings.
@@ -303,9 +332,21 @@ def _sample_blocks(freqs, values, M):
       0.8-0.9x up to blocks of 2^19 points and 1.0x at 2^20; D >= 8 takes
       0.6-0.7x.
 
-    On 2 cores a 52-term criterion-4 table on 2^20 points samples in about
-    20 ms instead of 45 ms, and the Ingham tail of 2^17 terms on 2^22
-    points in about 100 ms instead of 290 ms.  The split's samples differ
+    _grid_readings reads the split blocks in two runs on two or more CPUs
+    (_split_readings): two contiguous runs of column groups, the first in
+    the caller and the second on a thread started and joined for the call,
+    each run in its own 2 MiB of buffers (samples, |f| and log(1 + |f|)).
+    The per-block partials add in block order, so the readings have the
+    bits of one run.  The decimation and the one block stay serial: the
+    recurrence T <- T w is sequential, and a prototype that read the
+    Ingham tail of 2^17 terms in two runs raised the grid benchmark's peak
+    RSS from 58.7 to 70.3 MB.
+
+    On 2 cores the Orlicz mean of a criterion-4 table (about 50 terms) on
+    2^20 points takes about 9 ms in two runs, 16 ms in one and 67 ms from
+    one plain FFT (medians of 48 readings of 8 tables), and the Ingham tail of
+    2^17 terms on 2^22 points samples in about 100 ms instead of 290 ms.
+    The split's samples differ
     from the plain FFT's by at most 5.4e-16 of max|f| on 100 criterion-4
     tables; the recurrence's by at most 1.5e-15 of max|f| on the Ingham
     tails (k = 11 .. 17) and 4.5e-16 on V_{2^N} (N = 12 .. 16), and their
@@ -313,16 +354,11 @@ def _sample_blocks(freqs, values, M):
     """
     n = freqs[:, 0]
     R = _SPLIT_ROWS
-    if M >= _SPLIT_MIN_POINTS and M % R == 0 and len(values) <= R // 4:
-        n = n % M
-        rows, P = n % R, M // R
+    if _takes_split(M, len(values)):
+        fill = _split_filler(n, values, M)
         X = np.empty((_SPLIT_COLUMNS, R), dtype=np.complex128)
-        for c0 in range(0, P, _SPLIT_COLUMNS):
-            a = np.arange(c0, min(c0 + _SPLIT_COLUMNS, P))
-            B = X[:len(a)]
-            B.fill(0)
-            np.add.at(B.T, rows, np.exp((2j * np.pi / M) * (n[:, None] * a % M)) * values[:, None])
-            yield np.fft.ifft(B, norm="forward", out=B).T
+        for c0 in range(0, M // R, _SPLIT_COLUMNS):
+            yield fill(c0, X)
         return
     D = 1
     if M >= _SPLIT_MIN_POINTS and len(n):
@@ -415,49 +451,127 @@ def analyze(s: GridSignal, tol=1e-12) -> TrigPoly:
                                 spec[tuple(idx.T)])
 
 
-def _abs_readings(blocks, npoints, terms):
-    """Grid readings of |f| from sample blocks that cover the grid exactly
-    once: for each (p, r) in terms, the mean of |f|**p log(1 + |f|)**r, or
-    max |f| for p = inf.
+def _block_partials(block, terms, a=None, log=None):
+    """The per-block kernel of the grid readings: for each (p, r) in terms,
+    the sum over the block of |f|**p log(1 + |f|)**r, or max |f| for
+    p = inf.  |f| and log(1 + |f|) go to fresh arrays, or into a and log,
+    views of the block's shape and memory order, which give the same bits.
+    Call it under np.errstate(over="ignore", invalid="ignore")."""
+    a = np.abs(block, out=a)
+    left = sum(1 for p, r in terms if r and p != math.inf)
+    log = np.log1p(a, out=log) if left else None
+    out = []
+    for p, r in terms:
+        if p == math.inf:
+            out.append(a.max())
+            continue
+        t = a if p == 1 else a ** p
+        if r:
+            left -= 1
+            u = log.copy() if left else log    # the last log term spends log
+            u **= r
+            u *= t
+            t = u
+        out.append(np.sum(t))
+    return out
 
-    The one per-block kernel of lp_norm, orlicz_functional and the blocked
-    readings (_grid_readings).  One block that is the whole grid gives the
-    bits of np.mean and max.  A reading that is not finite raises
-    ValueError, as synthesize does for samples: overflow in the samples or
-    the terms reaches it.
-    """
+
+def _combined(partials, npoints, terms):
+    """The readings of _abs_readings from the _block_partials of each block,
+    added (or maxed for p = inf) in block order from 0.0."""
     out = [0.0] * len(terms)
-    log_terms = sum(1 for p, r in terms if r and p != math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in blocks:
-            a = np.abs(block)
-            log = np.log1p(a) if log_terms else None
-            left = log_terms
-            for i, (p, r) in enumerate(terms):
-                if p == math.inf:
-                    out[i] = np.maximum(out[i], a.max())
-                    continue
-                t = a if p == 1 else a ** p
-                if r:
-                    left -= 1
-                    u = log.copy() if left else log    # the last log term spends log
-                    u **= r
-                    u *= t
-                    t = u
-                out[i] += np.sum(t)
+        for parts in partials:
+            for i, ((p, _), v) in enumerate(zip(terms, parts)):
+                out[i] = np.maximum(out[i], v) if p == math.inf else out[i] + v
     out = [float(v if p == math.inf else v / npoints) for v, (p, _) in zip(out, terms)]
     if not all(map(math.isfinite, out)):
         raise ValueError("grid values and their readings must be finite")
     return out
 
 
+def _abs_readings(blocks, npoints, terms):
+    """Grid readings of |f| from sample blocks that cover the grid exactly
+    once: for each (p, r) in terms, the mean of |f|**p log(1 + |f|)**r, or
+    max |f| for p = inf.
+
+    The one reduction of lp_norm, orlicz_functional and the blocked readings
+    (_grid_readings), one _block_partials per block.  One block that is the
+    whole grid gives the bits of np.mean and max.  A reading that is not
+    finite raises ValueError, as synthesize does for samples: overflow in
+    the samples or the terms reaches it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _combined([_block_partials(b, terms) for b in blocks], npoints, terms)
+
+
+def _split_readings(n, values, M, terms, runs=None):
+    """_abs_readings of the split blocks of _sample_blocks for the table
+    (n, values) on M points, read in `runs` contiguous runs of column
+    groups: two on two or more CPUs, else one (runs is for tests).
+
+    The caller reads the first run and one thread, started and joined here,
+    each further run; a run samples and reads its groups in its own
+    (_SPLIT_COLUMNS, _SPLIT_ROWS) buffers of samples, |f| and log(1 + |f|),
+    2 MiB in all, made here.  The partials are combined in block order, so
+    every run count gives the bits of one run.  An exception in a run is
+    raised here after the join.
+    """
+    starts = range(0, M // _SPLIT_ROWS, _SPLIT_COLUMNS)
+    if runs is None:
+        # the CPUs this process may run on, or all of them where the OS
+        # reports no affinity
+        cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                else range(os.cpu_count() or 1))
+        runs = 2 if len(cpus) >= 2 else 1
+    runs = min(runs, len(starts))
+    fill = _split_filler(n, values, M)
+    logs = any(r and p != math.inf for p, r in terms)
+    shape = (_SPLIT_COLUMNS, _SPLIT_ROWS)
+    buffers = [(np.empty(shape, dtype=np.complex128), np.empty(shape),
+                np.empty(shape) if logs else None) for _ in range(runs)]
+    parts, errors = [None] * runs, []
+
+    def read(i):
+        X, A, L = buffers[i]
+        try:
+            # numpy's errstate does not carry into a new thread
+            with np.errstate(over="ignore", invalid="ignore"):
+                run = []
+                for c0 in starts[len(starts) * i // runs:len(starts) * (i + 1) // runs]:
+                    block = fill(c0, X)
+                    k = block.shape[1]
+                    run.append(_block_partials(block, terms, A[:k].T,
+                                               None if L is None else L[:k].T))
+                parts[i] = run
+        except BaseException as e:
+            errors.append(e)
+
+    started = []
+    try:
+        for i in range(1, runs):
+            t = threading.Thread(target=read, args=(i,))
+            t.start()
+            started.append(t)
+        read(0)
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
+    return _combined((block for run in parts for block in run), M, terms)
+
+
 def _grid_readings(freqs, values, M, terms):
     """_abs_readings of the samples of a 1-D table, (n, 1) int freqs and
     its values, on M points, with the checks of synthesize, reduced block
-    by block: no array of M samples is made."""
+    by block: no array of M samples is made.  A table that takes the split
+    is read in runs (_split_readings)."""
     if freqs.shape[1:] != (1,):
         raise ValueError("blocked grid readings are defined for dim 1")
     (M,) = _checked_sizes(np.abs(freqs).max(axis=0, initial=0).tolist(), M)
+    if _takes_split(M, len(values)):
+        return _split_readings(freqs[:, 0], values, M, terms)
     return _abs_readings(_sample_blocks(freqs, values, M), M, terms)
 
 

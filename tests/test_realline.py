@@ -233,6 +233,24 @@ class TestPaleyMeasure:
             with pytest.raises(ValueError, match="density blocks must lie in -1022..1022"):
                 PaleyMeasure.inverse_abs(k_min, k_max)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be 'atoms' or 'density', got 'bogus'"):
+            PaleyMeasure(kind="bogus", k_min=0, k_max=2)
+
+    def test_density_built_directly_rejects_an_empty_block_range(self):
+        with pytest.raises(ValueError, match="k_max must be >= k_min"):
+            PaleyMeasure(kind="density", k_min=5, k_max=3)
+
+    def test_density_built_directly_rejects_blocks_outside_the_normal_range(self):
+        # checked before any node is made, so no divide-by-zero warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k_min, k_max in ((-1100, 0), (1100, 1100)):
+                with pytest.raises(ValueError, match="density blocks must lie in -1022..1022"):
+                    PaleyMeasure(kind="density", k_min=k_min, k_max=k_max)
+                with pytest.raises(ValueError, match="density blocks must lie in -1022..1022"):
+                    PaleyMeasure.inverse_abs(k_min, k_max)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             PaleyMeasure.from_atoms([(1.0, -2.0)])

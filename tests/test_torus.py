@@ -1,16 +1,19 @@
 """Transforms, norms, and functionals on the torus."""
 
 import math
+import os
 import re
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paleyzyg import (Ensemble, FrequencySet, GridSignal, MultiplierSeq, TrigPoly, analyze,
-                      coeffs_close, even_p_ratio, fejer, ingham_tail_sup, ingham_weight_trend,
-                      paley_block_sums, sharpness_experiment, sidon_lower_bound,
+                      block_filling_corpus, coeffs_close, even_p_ratio, fejer, ingham_tail_sup,
+                      ingham_weight_trend, paley_block_sums, sharpness_experiment, sidon_lower_bound,
                       sidon_weight_divergence, lp_norm, orlicz_functional,
                       periodic_square_function_norm, synthesize, vallee_poussin, weighted_l2,
                       zygmund_ratio)
@@ -570,6 +573,110 @@ class TestBlockedReadings:
         with pytest.raises(ValueError, match="must be finite"):
             lp_norm(s, 2)
         assert lp_norm(s, math.inf) == 1e308
+
+
+# Both log terms matter: every log term but the last reads a C-order copy of
+# the transposed log block, whose sum differs from the block's own by an ulp.
+SPLIT_TERMS = [(1, 0.25), (1, 0.5), (math.inf, 0), (2, 0)]
+
+
+class CountingThread(threading.Thread):
+    started = []
+
+    def start(self):
+        CountingThread.started.append(self)
+        super().start()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k): pretend the process may run on k CPUs, and count the threads
+    started from then on in CountingThread.started."""
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        CountingThread.started = []
+    return set_cpus
+
+
+class TestSplitRuns:
+    """The split blocks of a sparse table are read in two runs on two or
+    more CPUs, the second on a thread that ends with the call."""
+
+    @staticmethod
+    def table():
+        # a criterion-4 polynomial on blocks 1..15, read on 2^17 points: two
+        # column groups
+        p = block_filling_corpus(1, k_lo=1, k_hi=15, seed=20240)[0]
+        assert torus.grid_size(p.degree, 2) == 1 << 17
+        return p.freqs, p.values, 1 << 17
+
+    def test_runs_keep_the_bits_of_one_run(self):
+        # 2^16 points hold one column group, so one run; the others two or more
+        for M in (1 << 16, 1 << 18, 1 << 20):
+            n, c = split_table(M, torus._SPLIT_ROWS // 4)
+            want = torus._abs_readings(torus._sample_blocks(n[:, None], c, M), M, SPLIT_TERMS)
+            for runs in (1, 2, 3):
+                assert torus._split_readings(n, c, M, SPLIT_TERMS, runs=runs) == want
+
+    def test_two_cpus_start_one_thread_that_ends_with_the_call(self, cpus):
+        freqs, values, M = self.table()
+        want = torus._split_readings(freqs[:, 0], values, M, SPLIT_TERMS, runs=1)
+        cpus(2)
+        before = threading.active_count()
+        assert torus._grid_readings(freqs, values, M, SPLIT_TERMS) == want
+        assert len(CountingThread.started) == 1
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, cpus, monkeypatch):
+        freqs, values, M = self.table()
+        cpus(1)
+        torus._grid_readings(freqs, values, M, SPLIT_TERMS)
+        assert CountingThread.started == []
+        # where the OS reports no affinity, the CPU count decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for count, threads in ((1, 0), (None, 0), (2, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            CountingThread.started = []
+            torus._grid_readings(freqs, values, M, SPLIT_TERMS)
+            assert len(CountingThread.started) == threads
+
+    def test_overflow_in_the_worker_raises_with_no_warning(self, cpus):
+        # the table of test_overflow_raises_like_synthesize on 2^17 points,
+        # two column groups: the worker reads the second under its own errstate
+        p = TrigPoly(1, {20000: 1e308, 30001: 1e308})
+        cpus(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                torus._grid_readings(p.freqs, p.values, 1 << 17, [(1, 0.5), (math.inf, 0)])
+        assert len(CountingThread.started) == 1
+
+    def test_an_exception_in_the_worker_is_raised_after_the_join(self, monkeypatch):
+        M = 1 << 18
+        n, c = split_table(M, 300)
+        main, partials = threading.current_thread(), torus._block_partials
+
+        def failing(block, *args):
+            if threading.current_thread() is not main:
+                raise MemoryError("planted in the worker")
+            return partials(block, *args)
+
+        monkeypatch.setattr(torus, "_block_partials", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="planted in the worker"):
+            torus._split_readings(n, c, M, SPLIT_TERMS, runs=2)
+        assert threading.active_count() == before
+
+    def test_a_criterion_4_ratio_holds_two_runs_of_buffers(self, cpus):
+        # per run 2 MiB: samples, |f| and log(1 + |f|), each 16 x 4096
+        p = block_filling_corpus(1, k_lo=1, k_hi=18, seed=20240)[0]
+        assert torus.grid_size(p.degree, 2) == 1 << 20
+        cpus(2)
+        peak = traced_peak(lambda: zygmund_ratio(p, MultiplierSeq.inverse_sqrt(2 ** 19),
+                                                 check_multiplier=False))
+        assert len(CountingThread.started) == 1
+        assert peak < 4 * 2 ** 20 + 256 * 1024
 
 
 class TestWeightedL2:
