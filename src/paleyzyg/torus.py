@@ -8,17 +8,18 @@ strictly oversamples the degree (M > 2 * degree per axis).  No other
 module samples a table on a grid or reads one.  ``_sample`` samples one
 table or a stack of tables by one scatter and one inverse FFT over the grid
 axes, so a row of a stack has the bits of that table alone.
-``_sample_blocks`` feeds ``_grid_readings`` only: it samples one 1-D table
-by one inverse FFT, or, on grids of 2^16 points or more, in cache-sized
-blocks, by a pruned four-step FFT for sparse tables and by output
-decimation for dense tables of small span (forms, thresholds and measured
-errors in its docstring).  ``_abs_readings``, the one reduction of
-``lp_norm`` and ``orlicz_functional``, reduces those blocks one by one
-through the per-block kernel ``_block_partials``, so the Orlicz means and
-the Ingham and Sidon sups build no sample array.  On two or more CPUs
-``_split_readings`` reads the split blocks in two runs, the second on a
-thread joined before the call returns, with the bits of one run; the
-decimation stays serial.
+``_grid_readings`` is the one blocked reader of a 1-D table on a
+power-of-two grid: ``_block_form`` states each block form once (one inverse
+FFT, or, on grids of 2^16 points or more, cache-sized blocks by a pruned
+four-step FFT for sparse tables and by output decimation for dense tables
+of small span; forms, thresholds and measured errors in its docstring), and
+the reader reduces the blocks one by one through the per-block kernel
+``_block_partials``, so the Orlicz means and the Ingham and Sidon sups build
+no sample array.  On two or more CPUs it reads the split's column groups in
+two runs, the second on a thread joined before the call returns, with the
+bits of one run; the decimation and the whole grid are one group each.
+``_abs_readings`` is the same reduction of a whole sample array, for
+``lp_norm`` and ``orlicz_functional``.
 ``_dyadic_blocks`` is the one Littlewood-Paley block loop, for the torus
 and the real line alike (``realline`` reads its blocks off the FFT of a
 signal's samples).
@@ -251,7 +252,7 @@ def grid_size(extent, factor):
     return max(next_pow2(factor * extent + 1), 16)
 
 
-# When and how a 1-D grid is sampled in blocks (see _sample_blocks).
+# When and how a 1-D grid is sampled in blocks (see _block_form).
 _SPLIT_MIN_POINTS = 1 << 16
 _SPLIT_ROWS = 4096
 _SPLIT_COLUMNS = 16                # 4096 x 16 points, 1 MB, per split block
@@ -265,59 +266,41 @@ def _sizes_tuple(sizes, dim):
     return tuple(int(m) for m in sizes)
 
 
-def _takes_split(M, terms):
-    """Whether a table of `terms` terms on M points takes the split form of
-    _sample_blocks."""
-    return M >= _SPLIT_MIN_POINTS and M % _SPLIT_ROWS == 0 and terms <= _SPLIT_ROWS // 4
+def _block_form(n, values, M):
+    """The block form of _grid_readings for the table sum_n values[n]
+    e^{2 pi i n j / M}, j < M, on M points, a power of two: (groups, shape,
+    sample).
 
-
-def _split_filler(n, values, M):
-    """fill(c0, X): the columns c0 .. min(c0 + _SPLIT_COLUMNS, P) - 1 of
-    the split of the table (n, values) on M points, sampled into the
-    leading rows of X, a (_SPLIT_COLUMNS, _SPLIT_ROWS) complex buffer, and
-    returned as the block, the transposed view of those rows."""
-    n = n % M
-    rows, P = n % _SPLIT_ROWS, M // _SPLIT_ROWS
-
-    def fill(c0, X):
-        a = np.arange(c0, min(c0 + _SPLIT_COLUMNS, P))
-        B = X[:len(a)]
-        B.fill(0)
-        np.add.at(B.T, rows, np.exp((2j * np.pi / M) * (n[:, None] * a % M)) * values[:, None])
-        return np.fft.ifft(B, norm="forward", out=B).T
-    return fill
-
-
-def _sample_blocks(freqs, values, M):
-    """Samples of sum_n values[n] e^{2 pi i n j / M}, j < M, in blocks, for
-    the blocked readings of _grid_readings.
-
-    Yields 2-D blocks B that cover the grid exactly once: read as a
-    row-major array of B.shape[0] rows, the grid is the blocks side by side
-    in the order they come.  A block may be overwritten by the next one.  A
-    frequency n lands in its bin modulo every size, and coinciding bins add.
+    sample(lo, hi, X) yields the blocks of the column groups lo .. hi - 1 in
+    X, a complex buffer of the given shape; a block is X.T, overwritten by
+    the next one.  The blocks of all groups cover the grid exactly once:
+    read as a row-major array of B.shape[0] rows, the grid is the blocks
+    side by side in the order they come.  A frequency n lands in its bin
+    modulo every size, and coinciding bins add.  Only the split has more
+    than one group.  Each group is read once: the decimation advances its
+    twiddles as it goes.
 
     Below M = _SPLIT_MIN_POINTS, and for tables that neither form below
     takes, the one block is the whole grid: the table scattered into M bins
     and one unnormalised inverse FFT.  On larger grids:
 
-    * Sparse tables, S <= R / 4 terms with R = _SPLIT_ROWS dividing M, take
-      the split (a pruned four-step FFT): with j = a + P b, P = M / R,
+    * Sparse tables, S <= R / 4 terms with R = _SPLIT_ROWS, take the split
+      (a pruned four-step FFT): with j = a + P b, P = M / R,
 
           f(j / M) = sum_{s < R} e^{2 pi i s b / R} X[s, a],
           X[s, a] = sum_{n = s mod R} values[n] e^{2 pi i n a / M},
 
       so S x P exact twiddles (n a reduced mod M in int64) fill X, and
-      inverse FFTs of R points down its columns give f; each block is
+      inverse FFTs of R points down its columns give f; each group is
       _SPLIT_COLUMNS columns of X (1 MB), transformed in place (``out=``,
       numpy >= 2.0; a fresh result per block costs more).  That costs
       S P <= M / 4 exponentials and cache-sized FFTs in place of one
       M-point FFT out of cache; at S = R / 2 the exponentials already cost
       more than the FFT saves (measured for M = 2^16 .. 2^20).
     * Other tables whose span max n - min n is below L = M / D take output
-      decimation, with D the largest power of two dividing M such that
-      L >= R, if D >= _DECIMATE_MIN_BLOCKS and L <= _DECIMATE_MAX_POINTS.
-      Block r holds the samples j = D q + r, q < L:
+      decimation, with D the largest power of two such that L >= R, if
+      D >= _DECIMATE_MIN_BLOCKS and L <= _DECIMATE_MAX_POINTS.  Block r
+      holds the samples j = D q + r, q < L:
 
           f((D q + r) / M) = sum_n (values[n] w_n^r) e^{2 pi i n q / L},
           w_n = e^{2 pi i n / M},
@@ -332,15 +315,10 @@ def _sample_blocks(freqs, values, M):
       0.8-0.9x up to blocks of 2^19 points and 1.0x at 2^20; D >= 8 takes
       0.6-0.7x.
 
-    _grid_readings reads the split blocks in two runs on two or more CPUs
-    (_split_readings): two contiguous runs of column groups, the first in
-    the caller and the second on a thread started and joined for the call,
-    each run in its own 2 MiB of buffers (samples, |f| and log(1 + |f|)).
-    The per-block partials add in block order, so the readings have the
-    bits of one run.  The decimation and the one block stay serial: the
-    recurrence T <- T w is sequential, and a prototype that read the
-    Ingham tail of 2^17 terms in two runs raised the grid benchmark's peak
-    RSS from 58.7 to 70.3 MB.
+    The decimation and the whole grid are one group each: the recurrence
+    T <- T w is sequential, and a prototype that read the Ingham tail of
+    2^17 terms in two runs raised the grid benchmark's peak RSS from 58.7
+    to 70.3 MB.
 
     On 2 cores the Orlicz mean of a criterion-4 table (about 50 terms) on
     2^20 points takes about 9 ms in two runs, 16 ms in one and 67 ms from
@@ -352,24 +330,33 @@ def _sample_blocks(freqs, values, M):
     tails (k = 11 .. 17) and 4.5e-16 on V_{2^N} (N = 12 .. 16), and their
     sups and Orlicz means by at most 7.4e-16 relative.
     """
-    n = freqs[:, 0]
-    R = _SPLIT_ROWS
-    if _takes_split(M, len(values)):
-        fill = _split_filler(n, values, M)
-        X = np.empty((_SPLIT_COLUMNS, R), dtype=np.complex128)
-        for c0 in range(0, M // R, _SPLIT_COLUMNS):
-            yield fill(c0, X)
-        return
+    if M >= _SPLIT_MIN_POINTS and len(values) <= _SPLIT_ROWS // 4:
+        n = n % M
+        rows = n % _SPLIT_ROWS
+
+        def split(lo, hi, X):
+            for c0 in range(lo * _SPLIT_COLUMNS, hi * _SPLIT_COLUMNS, _SPLIT_COLUMNS):
+                X.fill(0)
+                a = np.arange(c0, c0 + _SPLIT_COLUMNS)
+                np.add.at(X.T, rows,
+                          np.exp((2j * np.pi / M) * (n[:, None] * a % M)) * values[:, None])
+                yield np.fft.ifft(X, norm="forward", out=X).T
+        return M // (_SPLIT_ROWS * _SPLIT_COLUMNS), (_SPLIT_COLUMNS, _SPLIT_ROWS), split
     D = 1
     if M >= _SPLIT_MIN_POINTS and len(n):
         span = int(n.max()) - int(n.min())
-        while M % (2 * D) == 0 and M // (2 * D) >= R and span < M // (2 * D):
+        while M // (2 * D) >= _SPLIT_ROWS and span < M // (2 * D):
             D *= 2
     if D < _DECIMATE_MIN_BLOCKS or M // D > _DECIMATE_MAX_POINTS:
-        spec = np.zeros(M, dtype=np.complex128)
-        np.add.at(spec, n % M, values)
-        yield np.fft.ifft(spec, norm="forward", out=spec)[:, None]
-        return
+        def whole(lo, hi, X):
+            X.fill(0)
+            np.add.at(X[0], n % M, values)
+            np.fft.ifft(X[0], norm="forward", out=X[0])
+            yield X.T
+        return 1, (1, M), whole
+    # T and W are made here, before the reader makes its buffers: made in
+    # sample, after them, their temporaries took fresh pages and the Ingham
+    # tail of 2^17 terms peaked 2 MB higher
     L = M // D
     bins = n % L
     T = np.empty(L, dtype=np.complex128)
@@ -377,10 +364,13 @@ def _sample_blocks(freqs, values, M):
     T.imag = np.bincount(bins, values.imag, L)
     W = np.ones(L, dtype=np.complex128)
     W[bins] = np.exp((2j * np.pi / M) * (n % M))
-    X = np.empty(L, dtype=np.complex128)
-    for _ in range(D):
-        yield np.fft.ifft(T, norm="forward", out=X)[:, None]
-        T *= W
+
+    def decimation(lo, hi, X):
+        for _ in range(D):
+            np.fft.ifft(T, norm="forward", out=X[0])
+            yield X.T
+            np.multiply(T, W, out=T)
+    return 1, (1, L), decimation
 
 
 def _sample(freqs, values, sizes):
@@ -477,8 +467,8 @@ def _block_partials(block, terms, a=None, log=None):
 
 
 def _combined(partials, npoints, terms):
-    """The readings of _abs_readings from the _block_partials of each block,
-    added (or maxed for p = inf) in block order from 0.0."""
+    """The readings of a grid of npoints points from the _block_partials of
+    each block, added (or maxed for p = inf) in block order from 0.0."""
     out = [0.0] * len(terms)
     with np.errstate(over="ignore", invalid="ignore"):
         for parts in partials:
@@ -490,44 +480,47 @@ def _combined(partials, npoints, terms):
     return out
 
 
-def _abs_readings(blocks, npoints, terms):
-    """Grid readings of |f| from sample blocks that cover the grid exactly
-    once: for each (p, r) in terms, the mean of |f|**p log(1 + |f|)**r, or
-    max |f| for p = inf.
-
-    The one reduction of lp_norm, orlicz_functional and the blocked readings
-    (_grid_readings), one _block_partials per block.  One block that is the
-    whole grid gives the bits of np.mean and max.  A reading that is not
-    finite raises ValueError, as synthesize does for samples: overflow in
-    the samples or the terms reaches it.
+def _abs_readings(values, terms):
+    """Readings of |f| over the whole sample array values: for each (p, r)
+    in terms, the mean of |f|**p log(1 + |f|)**r, or max |f| for p = inf,
+    with the bits of np.mean and max.  The one reduction of lp_norm and
+    orlicz_functional.  A reading that is not finite raises ValueError, as
+    synthesize does for samples: overflow in the samples or the terms
+    reaches it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _combined([_block_partials(b, terms) for b in blocks], npoints, terms)
+        return _combined([_block_partials(values, terms)], values.size, terms)
 
 
-def _split_readings(n, values, M, terms, runs=None):
-    """_abs_readings of the split blocks of _sample_blocks for the table
-    (n, values) on M points, read in `runs` contiguous runs of column
-    groups: two on two or more CPUs, else one (runs is for tests).
+def _grid_readings(freqs, values, M, terms):
+    """The readings of _abs_readings of the samples of a 1-D table, (n, 1)
+    int freqs and its values, on M points, a power of two, with the checks
+    of synthesize, reduced block by block: no array of M samples is made.
 
-    The caller reads the first run and one thread, started and joined here,
-    each further run; a run samples and reads its groups in its own
-    (_SPLIT_COLUMNS, _SPLIT_ROWS) buffers of samples, |f| and log(1 + |f|),
-    2 MiB in all, made here.  The partials are combined in block order, so
-    every run count gives the bits of one run.  An exception in a run is
-    raised here after the join.
+    The blocks of _block_form are read in one run, or, for two or more
+    groups on two or more CPUs, in two contiguous runs of groups: the first
+    in the caller and the second on a thread started and joined here.  Each
+    run samples and reads its blocks in its own buffers of samples, |f| and
+    log(1 + |f|), made here in the calling thread (2 MiB a run for the
+    split: made in the worker, they raised the benchmark's peak RSS by
+    4 MB).  The per-block partials are combined in block order, so two runs
+    give the bits of one.  An exception in a run is raised here after the
+    join.
     """
-    starts = range(0, M // _SPLIT_ROWS, _SPLIT_COLUMNS)
-    if runs is None:
+    if freqs.shape[1:] != (1,):
+        raise ValueError("blocked grid readings are defined for dim 1")
+    (M,) = _checked_sizes(np.abs(freqs).max(axis=0, initial=0).tolist(), M)
+    if M & (M - 1):
+        raise ValueError(f"blocked grid readings need a power-of-two grid, got {M} points")
+    groups, shape, sample = _block_form(freqs[:, 0], values, M)
+    runs = 1
+    if groups >= 2:
         # the CPUs this process may run on, or all of them where the OS
         # reports no affinity
         cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
                 else range(os.cpu_count() or 1))
         runs = 2 if len(cpus) >= 2 else 1
-    runs = min(runs, len(starts))
-    fill = _split_filler(n, values, M)
     logs = any(r and p != math.inf for p, r in terms)
-    shape = (_SPLIT_COLUMNS, _SPLIT_ROWS)
     buffers = [(np.empty(shape, dtype=np.complex128), np.empty(shape),
                 np.empty(shape) if logs else None) for _ in range(runs)]
     parts, errors = [None] * runs, []
@@ -537,42 +530,22 @@ def _split_readings(n, values, M, terms, runs=None):
         try:
             # numpy's errstate does not carry into a new thread
             with np.errstate(over="ignore", invalid="ignore"):
-                run = []
-                for c0 in starts[len(starts) * i // runs:len(starts) * (i + 1) // runs]:
-                    block = fill(c0, X)
-                    k = block.shape[1]
-                    run.append(_block_partials(block, terms, A[:k].T,
-                                               None if L is None else L[:k].T))
-                parts[i] = run
+                parts[i] = [_block_partials(block, terms, A.T, None if L is None else L.T)
+                            for block in sample(groups * i // runs, groups * (i + 1) // runs, X)]
         except BaseException as e:
             errors.append(e)
 
-    started = []
+    workers = [threading.Thread(target=read, args=(i,)) for i in range(1, runs)]
+    for t in workers:
+        t.start()
     try:
-        for i in range(1, runs):
-            t = threading.Thread(target=read, args=(i,))
-            t.start()
-            started.append(t)
         read(0)
     finally:
-        for t in started:
+        for t in workers:
             t.join()
     if errors:
         raise errors[0]
     return _combined((block for run in parts for block in run), M, terms)
-
-
-def _grid_readings(freqs, values, M, terms):
-    """_abs_readings of the samples of a 1-D table, (n, 1) int freqs and
-    its values, on M points, with the checks of synthesize, reduced block
-    by block: no array of M samples is made.  A table that takes the split
-    is read in runs (_split_readings)."""
-    if freqs.shape[1:] != (1,):
-        raise ValueError("blocked grid readings are defined for dim 1")
-    (M,) = _checked_sizes(np.abs(freqs).max(axis=0, initial=0).tolist(), M)
-    if _takes_split(M, len(values)):
-        return _split_readings(freqs[:, 0], values, M, terms)
-    return _abs_readings(_sample_blocks(freqs, values, M), M, terms)
 
 
 def _orlicz_term(r):
@@ -594,13 +567,13 @@ def lp_norm(s: GridSignal, p) -> float:
         p = float(p)
         if p < 1:
             raise ValueError("p must be >= 1 or inf")
-    m = _abs_readings([s.values], s.npoints, [(p, 0)])[0]
+    m = _abs_readings(s.values, [(p, 0)])[0]
     return m if p == math.inf else m ** (1.0 / p)
 
 
 def orlicz_functional(s: GridSignal, r) -> float:
     """Mean of |f| * log(1 + |f|)**r over the grid (natural logarithm)."""
-    return _abs_readings([s.values], s.npoints, [_orlicz_term(r)])[0]
+    return _abs_readings(s.values, [_orlicz_term(r)])[0]
 
 
 # _CHUNK_BYTES is glibc's default mmap and trim threshold: temporaries under

@@ -209,11 +209,19 @@ def plain_samples(n, c, M):
 
 
 def assembled_samples(n, c, M):
-    """The blocks of _sample_blocks for the table {n: c} on M points, put in
-    grid order: read as a row-major array of its rows, the grid is the
-    blocks side by side."""
-    blocks = [b.copy() for b in torus._sample_blocks(n[:, None], c, M)]
+    """The blocks of every group of _block_form for the table {n: c} on M
+    points, put in grid order: read as a row-major array of its rows, the
+    grid is the blocks side by side."""
+    groups, shape, sample = torus._block_form(n, c, M)
+    X = np.empty(shape, dtype=np.complex128)
+    blocks = [b.copy() for b in sample(0, groups, X)]
     return np.concatenate(blocks, axis=1).reshape(M)
+
+
+def block_shape(n, c, M):
+    """The shape of the blocks _block_form takes for the table {n: c} on M
+    points: (M, 1) for the whole grid."""
+    return torus._block_form(n, c, M)[1][::-1]
 
 
 def split_table(M, S):
@@ -225,6 +233,15 @@ def split_table(M, S):
     n[1:6] = n[0] + np.array([R, -R, M, -2 * M, 5 * R - M])
     n[6] = -abs(n[6])
     return n, rng.standard_normal(S) + 1j * rng.standard_normal(S)
+
+
+def readable_split_table(M, S):
+    """split_table(M, S) with each frequency moved by a multiple of M into
+    -M / 2 < n < M / 2, where _grid_readings takes it: the same samples."""
+    n, c = split_table(M, S)
+    n = (n + M // 2) % M - M // 2
+    assert (n != -M // 2).all()
+    return n, c
 
 
 def whole_grid_readings(samples, terms):
@@ -254,7 +271,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_split_matches_the_plain_scatter(self, M, extra):
         # _sample is the plain scatter at every size; the blocks of
-        # _sample_blocks take the split on large grids
+        # _block_form take the split on large grids
         R = torus._SPLIT_ROWS
         S = R // 4 + extra
         n, c = split_table(M, S)
@@ -270,8 +287,8 @@ class TestSynthesize:
             assert np.array_equal(got, plain)
 
     def test_split_needs_rows_that_divide_the_grid(self):
-        # GridSignal takes only powers of two, but _sample itself takes any
-        # size; _SPLIT_ROWS does not divide 100,000: the plain scatter
+        # GridSignal and _grid_readings take only powers of two, but _sample
+        # itself takes any size, 100,000 too, by the plain scatter
         p = random_poly(np.random.default_rng(15), 1, 40000, 40)
         M = 100_000
         assert np.array_equal(torus._sample(p.freqs, p.values, (M,)),
@@ -335,7 +352,7 @@ class TestStackedSample:
 
     @pytest.mark.parametrize("M", [1 << 16, 1 << 17])
     def test_rows_of_large_grids_agree(self, M):
-        # where _sample_blocks takes its block forms, one table and a stack
+        # where _block_form takes its block forms, one table and a stack
         # both take one plain FFT per row
         freqs, V = self.stack((M,))
         got = torus._sample(freqs, V, (M,))
@@ -482,9 +499,9 @@ class TestBlockedReadings:
 
     @pytest.mark.parametrize("M", [1 << 16, 1 << 18, 1 << 20])
     def test_sparse_tables(self, M):
-        n, c = split_table(M, torus._SPLIT_ROWS // 4)
-        assert next(torus._sample_blocks(n[:, None], c, M)).shape == (torus._SPLIT_ROWS, 16)
-        got = torus._abs_readings(torus._sample_blocks(n[:, None], c, M), M, self.TERMS)
+        n, c = readable_split_table(M, torus._SPLIT_ROWS // 4)
+        assert block_shape(n, c, M) == (torus._SPLIT_ROWS, 16)
+        got = torus._grid_readings(n[:, None], c, M, self.TERMS)
         want = whole_grid_readings(plain_samples(n, c, M), self.TERMS)
         assert got == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -493,7 +510,7 @@ class TestBlockedReadings:
         M = 2 ** k
         G = torus.grid_size(2 * M, torus.SUP_L1_FACTOR)
         n, a = extremals._ingham_coefficients(0.5, 0.8, M + 1, 2 * M)
-        assert next(torus._sample_blocks(n[:, None], a, G)).shape == (G // 32, 1)
+        assert block_shape(n, a, G) == (G // 32, 1)
         want = lp_norm(GridSignal(plain_samples(n, a, G)), math.inf)
         assert ingham_tail_sup(0.5, 0.8, M) == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -501,7 +518,7 @@ class TestBlockedReadings:
         (M, _, sup, _), = ingham_weight_trend(0.5, 0.8, [10000])
         p = extremals.ingham_partial_sum(0.5, 0.8, M)
         G = torus.grid_size(M, torus.SUP_L1_FACTOR)
-        assert next(torus._sample_blocks(p.freqs, p.values, G)).shape[0] < G
+        assert block_shape(p.freqs[:, 0], p.values, G)[0] < G
         want = lp_norm(GridSignal(plain_samples(p.freqs[:, 0], p.values, G)), math.inf)
         assert sup == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -510,7 +527,7 @@ class TestBlockedReadings:
         for i, (N, M) in enumerate(zip(t.n_values, t.grids)):
             vp = vallee_poussin(N)
             if M >= torus._SPLIT_MIN_POINTS:
-                assert next(torus._sample_blocks(vp.freqs, vp.values, M)).shape == (M // 4, 1)
+                assert block_shape(vp.freqs[:, 0], vp.values, M) == (M // 4, 1)
             want = whole_grid_readings(plain_samples(vp.freqs[:, 0], vp.values, M),
                                        [(1, 0.25), (1, 0.5)])
             assert [t.phi[0.25][i], t.phi[0.5][i]] == pytest.approx(want, rel=1e-14, abs=0)
@@ -538,8 +555,8 @@ class TestBlockedReadings:
         M = torus._SPLIT_MIN_POINTS // 2
         p = random_poly(np.random.default_rng(count), 1, M // 2 - 1, count)
         plain = plain_samples(p.freqs[:, 0], p.values, M)
-        blocks = list(torus._sample_blocks(p.freqs, p.values, M))
-        assert len(blocks) == 1 and np.array_equal(blocks[0][:, 0], plain)
+        assert torus._block_form(p.freqs[:, 0], p.values, M)[:2] == (1, (1, M))
+        assert np.array_equal(assembled_samples(p.freqs[:, 0], p.values, M), plain)
         assert np.array_equal(synthesize(p, M).values, plain)
         a = np.abs(plain)
         got = torus._grid_readings(p.freqs, p.values, M,
@@ -557,14 +574,20 @@ class TestBlockedReadings:
             n = np.arange(M // 4, M // 2)   # span below M / 4: decimated
             p = TrigPoly.from_arrays(1, n, np.full(len(n), 1e305))
         assert torus.grid_size(p.degree, 2) == M
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert next(torus._sample_blocks(p.freqs, p.values, M)).shape[0] < M
+        assert block_shape(p.freqs[:, 0], p.values, M)[0] < M
         with pytest.raises(ValueError, match="must be finite"):
             synthesize(p, M)
         with pytest.raises(ValueError, match="must be finite"):
             zygmund_ratio(p, MultiplierSeq.inverse_sqrt(M), check_multiplier=False)
         with pytest.raises(ValueError, match="must be finite"):
             torus._grid_readings(p.freqs, p.values, M, [(math.inf, 0)])
+
+    def test_a_grid_that_is_not_a_power_of_two_is_refused(self):
+        # every caller reads on a grid_size grid; on a power of two every
+        # column group of the split is full
+        p = random_poly(np.random.default_rng(21), 1, 1000, 40)
+        with pytest.raises(ValueError, match="69632"):
+            torus._grid_readings(p.freqs, p.values, 4096 * 17, self.TERMS)
 
     def test_readings_that_overflow_raise(self):
         s = GridSignal(np.full(16, 1e308, dtype=complex))
@@ -611,17 +634,50 @@ class TestSplitRuns:
         assert torus.grid_size(p.degree, 2) == 1 << 17
         return p.freqs, p.values, 1 << 17
 
-    def test_runs_keep_the_bits_of_one_run(self):
-        # 2^16 points hold one column group, so one run; the others two or more
-        for M in (1 << 16, 1 << 18, 1 << 20):
-            n, c = split_table(M, torus._SPLIT_ROWS // 4)
-            want = torus._abs_readings(torus._sample_blocks(n[:, None], c, M), M, SPLIT_TERMS)
-            for runs in (1, 2, 3):
-                assert torus._split_readings(n, c, M, SPLIT_TERMS, runs=runs) == want
+    def test_runs_keep_the_bits_of_one_run(self, cpus):
+        # 2, 4 and 16 column groups: one run on one CPU, two on two
+        for M in (1 << 17, 1 << 18, 1 << 20):
+            n, c = readable_split_table(M, torus._SPLIT_ROWS // 4)
+            cpus(1)
+            want = torus._grid_readings(n[:, None], c, M, SPLIT_TERMS)
+            assert CountingThread.started == []
+            cpus(2)
+            assert torus._grid_readings(n[:, None], c, M, SPLIT_TERMS) == want
+            assert len(CountingThread.started) == 1
+
+    @pytest.mark.parametrize("table, shape", [
+        ("ingham", (1, 1 << 12)),               # decimated, D = 32
+        ("vallee_poussin", (1, 1 << 14)),       # on its sharpness grid, D = 4
+        ("split", (16, torus._SPLIT_ROWS)),     # 2^16 points: one column group
+        ("whole", (1, 2048)),
+    ])
+    def test_one_group_starts_no_thread(self, cpus, table, shape):
+        # the decimation and the whole grid are one group: two runs of the
+        # Ingham tail of 2^17 terms raised the grid benchmark's peak RSS
+        # from 58.7 to 70.3 MB
+        if table == "ingham":
+            n, c = extremals._ingham_coefficients(0.5, 0.8, 2 ** 12 + 1, 2 ** 13)
+            M = torus.grid_size(2 ** 13, torus.SUP_L1_FACTOR)
+        elif table == "vallee_poussin":
+            vp = vallee_poussin(12)
+            n, c, M = vp.freqs[:, 0], vp.values, torus.grid_size(vp.degree, torus.SUP_L1_FACTOR)
+        elif table == "split":
+            M = 1 << 16
+            n, c = readable_split_table(M, torus._SPLIT_ROWS // 4)
+        else:
+            p = random_poly(np.random.default_rng(2048), 1, 1023, 40)
+            n, c, M = p.freqs[:, 0], p.values, 2048
+        assert torus._block_form(n, c, M)[:2] == (1, shape)
+        cpus(1)
+        want = torus._grid_readings(n[:, None], c, M, SPLIT_TERMS)
+        cpus(2)
+        assert torus._grid_readings(n[:, None], c, M, SPLIT_TERMS) == want
+        assert CountingThread.started == []
 
     def test_two_cpus_start_one_thread_that_ends_with_the_call(self, cpus):
         freqs, values, M = self.table()
-        want = torus._split_readings(freqs[:, 0], values, M, SPLIT_TERMS, runs=1)
+        cpus(1)
+        want = torus._grid_readings(freqs, values, M, SPLIT_TERMS)
         cpus(2)
         before = threading.active_count()
         assert torus._grid_readings(freqs, values, M, SPLIT_TERMS) == want
@@ -652,9 +708,9 @@ class TestSplitRuns:
                 torus._grid_readings(p.freqs, p.values, 1 << 17, [(1, 0.5), (math.inf, 0)])
         assert len(CountingThread.started) == 1
 
-    def test_an_exception_in_the_worker_is_raised_after_the_join(self, monkeypatch):
+    def test_an_exception_in_the_worker_is_raised_after_the_join(self, cpus, monkeypatch):
         M = 1 << 18
-        n, c = split_table(M, 300)
+        n, c = readable_split_table(M, 300)
         main, partials = threading.current_thread(), torus._block_partials
 
         def failing(block, *args):
@@ -663,9 +719,11 @@ class TestSplitRuns:
             return partials(block, *args)
 
         monkeypatch.setattr(torus, "_block_partials", failing)
+        cpus(2)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="planted in the worker"):
-            torus._split_readings(n, c, M, SPLIT_TERMS, runs=2)
+            torus._grid_readings(n[:, None], c, M, SPLIT_TERMS)
+        assert len(CountingThread.started) == 1
         assert threading.active_count() == before
 
     def test_a_criterion_4_ratio_holds_two_runs_of_buffers(self, cpus):
@@ -770,7 +828,7 @@ def dyadic_blocks_by_scale(p, ks):
 def per_block_square_function_norm(p):
     """periodic_square_function_norm block by block, the reference for its
     one scatter: one table per block, each sampled by the blocks of
-    _sample_blocks (the split or decimation on grids of 2^16 points or more)."""
+    _block_form (the split or decimation on grids of 2^16 points or more)."""
     n = p.freqs[:, 0]
     grid = torus.grid_size(p.degree, torus.SUP_L1_FACTOR)
     acc = np.zeros(grid)
