@@ -10,6 +10,7 @@ re-running an echoed config reproduces the rows bit-identically.  Exit codes:
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -134,6 +135,8 @@ def cmd_zygmund_ratio(args):
 
 
 def cmd_sharpness(args):
+    if args.n_max < args.n_min:
+        raise ValueError(f"--n-max must be >= --n-min, got {args.n_min}..{args.n_max}")
     table = extremals.sharpness_experiment(range(args.n_min, args.n_max + 1),
                                            _items(args.r, float, "--r"))
     rows = []
@@ -181,8 +184,10 @@ def _base_seq(args):
 
 
 def _ensembles(args):
-    return _items(args.ensemble, lambda kind: growth.Ensemble(kind, seed=args.seed,
-                                                              trials=args.trials), "--ensemble")
+    # the kinds are items of --ensemble; the seed and trials are checked
+    # apart, so that their messages name no list
+    kinds = _items(args.ensemble, growth.Ensemble, "--ensemble")
+    return [dataclasses.replace(e, seed=args.seed, trials=args.trials) for e in kinds]
 
 
 def cmd_lambda_p(args):

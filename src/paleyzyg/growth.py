@@ -47,7 +47,7 @@ from .spectra import FrequencySet, LacunarySeq, _sumset, product_set
 # next_pow2 is unused here but stays bound: perfbench/tests checks that a
 # traced run rebinds a name one module imports from another.
 from .torus import (SUP_L1_FACTOR, TrigPoly, _grid_readings, _int_keys, _sample, check_budget,
-                    grid_size, next_pow2)
+                    check_seed, grid_size, next_pow2)
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,7 @@ class Ensemble:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        check_seed(self.seed)
 
 
 _SIGNS = np.array([-1.0 + 0j, 1.0 + 0j])

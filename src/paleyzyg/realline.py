@@ -72,7 +72,7 @@ import numpy as np
 
 from . import window
 from .multipliers import _diverging
-from .torus import _CHUNK_BYTES, _dyadic_blocks, _square_function, check_budget
+from .torus import _CHUNK_BYTES, _dyadic_blocks, _square_function, check_budget, check_seed
 
 
 def _sample_points(half_width, size):
@@ -590,7 +590,9 @@ _CORPUS_BUMPS = 3
 
 def random_mean_zero_corpus(count, seed=513):
     """Seeded smooth mean-zero signals: random modulated Gaussian bumps under
-    a window, centred by the raised-cosine reduction."""
+    a window, centred by the raised-cosine reduction.  A negative seed
+    raises ValueError."""
+    check_seed(seed)
     check_budget(count * _CORPUS_SIZE, f"a corpus of {count} signals of {_CORPUS_SIZE} samples")
     out = []
     L = _CORPUS_HALF_WIDTH

@@ -16,7 +16,8 @@ from .multipliers import MultiplierSeq, paley_block_sums
 from .spectra import DyadicBlocks, LacunarySeq
 # synthesize is unused here but stays bound: perfbench/tests checks that a
 # traced run rebinds a name one module imports from another.
-from .torus import TrigPoly, _grid_readings, check_budget, grid_size, synthesize, weighted_l2
+from .torus import (TrigPoly, _grid_readings, check_budget, check_seed, grid_size, synthesize,
+                    weighted_l2)
 
 
 @dataclass(frozen=True)
@@ -139,22 +140,51 @@ _CORPUS_MAX_PER_BLOCK = 3
 
 def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240):
     """Seeded random polynomials whose support meets every shifted block
-    k in [k_lo, k_hi]; coefficients are complex gaussians.  An empty range,
-    k_hi < k_lo, raises ValueError."""
+    k in [k_lo, k_hi]; coefficients are complex gaussians.
+
+    Polynomial t reads default_rng([seed, t]) block by block: the picks of
+    rng.integers(lo, hi + 1, size=min(3, 2^k)) on the block's range, then
+    one standard_normal call for the (re, im) pairs of the distinct picks,
+    in the order the set of picks gives them.  The picks are read off the
+    raw words of its PCG64, which gives the same stream at under half the
+    cost of an integers call: block k holds 2^k frequencies, so Lemire's
+    bounded draw never rejects, and a pick is lo plus the top k bits of the
+    next 32-bit half word for k <= 32 (low half first; a half left over
+    waits for the next block, since the normals read whole words) or of the
+    next word for k > 32.  Block 0 has one frequency and draws nothing.
+
+    An empty range, k_hi < k_lo, a block past int64, a negative seed or a
+    corpus over the budget raises ValueError before anything is drawn."""
+    check_seed(seed)
     if k_hi < k_lo:
         raise ValueError(f"empty block range {k_lo}..{k_hi}")
+    last = DyadicBlocks.shifted_block_range(k_hi)[1]
+    if last >= 2 ** 63:
+        raise ValueError(f"block {k_hi} reaches frequency {last}, past int64: "
+                         "--k-hi must be <= 62")
     check_budget(count * (k_hi - k_lo + 1) * _CORPUS_MAX_PER_BLOCK,
                  f"a corpus of {count} polynomials on blocks {k_lo}..{k_hi}")
+    blocks = [(DyadicBlocks.shifted_block_range(k)[0], min(_CORPUS_MAX_PER_BLOCK, 2 ** k), k)
+              for k in range(k_lo, k_hi + 1)]
     polys = []
     for t in range(count):
-        rng = np.random.default_rng([seed, t])
-        coeffs = {}
-        for k in range(k_lo, k_hi + 1):
-            lo, hi = DyadicBlocks.shifted_block_range(k)
-            width = hi - lo + 1
-            picks = rng.integers(lo, hi + 1, size=min(_CORPUS_MAX_PER_BLOCK, width))
-            for n in set(int(v) for v in picks):
-                re, im = rng.standard_normal(2)
-                coeffs[n] = complex(re, im)
-        polys.append(TrigPoly(1, coeffs))
+        bits = np.random.PCG64([seed, t])
+        rng = np.random.Generator(bits)     # default_rng([seed, t])
+        half, freqs, normals = None, [], []
+        for lo, size, k in blocks:
+            if k == 0:
+                draws = [0]
+            elif k > 32:
+                draws = [w >> (64 - k) for w in bits.random_raw(size).tolist()]
+            else:
+                halves = [] if half is None else [half]
+                for w in bits.random_raw((size - len(halves) + 1) // 2).tolist():
+                    halves += (w & 0xFFFFFFFF, w >> 32)
+                half = halves[size] if len(halves) > size else None
+                draws = [h >> (32 - k) for h in halves[:size]]
+            distinct = list(set(lo + d for d in draws))
+            freqs += distinct
+            normals.append(rng.standard_normal((len(distinct), 2)))
+        values = np.concatenate(normals).view(np.complex128)[:, 0]    # re, im pairs
+        polys.append(TrigPoly.from_arrays(1, freqs, values))
     return polys

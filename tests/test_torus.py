@@ -210,12 +210,30 @@ def plain_samples(n, c, M):
 
 def assembled_samples(n, c, M):
     """The blocks of every group of _block_form for the table {n: c} on M
-    points, put in grid order: read as a row-major array of its rows, the
-    grid is the blocks side by side."""
+    points, put in grid order: the split's blocks side by side, as a
+    row-major array of _SPLIT_ROWS rows, or the decimation's block r, read
+    row-major, as the samples r, r + D, ... (one group, D blocks)."""
     groups, shape, sample = torus._block_form(n, c, M)
     X = np.empty(shape, dtype=np.complex128)
     blocks = [b.copy() for b in sample(0, groups, X)]
+    if groups == 1:
+        return np.stack([b.reshape(-1) for b in blocks], axis=1).reshape(M)
     return np.concatenate(blocks, axis=1).reshape(M)
+
+
+def decimated_blocks(n, c, M):
+    """The decimated blocks of _block_form for the table {n: c} on M points,
+    read row-major, and the same blocks from one inverse FFT each of their
+    table values[n] e^{2 pi i n r / M} on L = M / D points, with exact
+    twiddles."""
+    groups, shape, sample = torus._block_form(n, c, M)
+    X = np.empty(shape, dtype=np.complex128)
+    got = [b.reshape(-1).copy() for b in sample(0, groups, X)]
+    L = X.size
+    for r in range(M // L):
+        T = np.zeros(L, dtype=np.complex128)
+        np.add.at(T, n % L, c * np.exp((2j * np.pi / M) * (n * r % M)))
+        yield got[r], np.fft.ifft(T, norm="forward")
 
 
 def block_shape(n, c, M):
@@ -527,10 +545,41 @@ class TestBlockedReadings:
         for i, (N, M) in enumerate(zip(t.n_values, t.grids)):
             vp = vallee_poussin(N)
             if M >= torus._SPLIT_MIN_POINTS:
-                assert block_shape(vp.freqs[:, 0], vp.values, M) == (M // 4, 1)
+                # D = 4: one FFT of M / 4 points, or rows of 4096 from 2^16 points on
+                L, R = M // 4, torus._SPLIT_ROWS
+                want = (L, 1) if L < torus._SPLIT_COLUMNS * R else (R, L // R)
+                assert block_shape(vp.freqs[:, 0], vp.values, M) == want
             want = whole_grid_readings(plain_samples(vp.freqs[:, 0], vp.values, M),
                                        [(1, 0.25), (1, 0.5)])
             assert [t.phi[0.25][i], t.phi[0.5][i]] == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("table, shape", [
+        ("ingham/15", (1 << 15, 1)),        # below 16 rows of 4096: one FFT a block
+        ("ingham/16", (4096, 16)),
+        ("ingham/17", (4096, 32)),
+        ("vallee_poussin/13", (1 << 15, 1)),
+        ("vallee_poussin/14", (4096, 16)),
+    ])
+    def test_four_step_blocks_match_one_fft_a_block(self, table, shape):
+        # decimated blocks of 16 or more rows of 4096 take the four-step,
+        # smaller ones one FFT of L points
+        kind, k = table.split("/")
+        if kind == "ingham":
+            n, c = extremals._ingham_coefficients(0.5, 0.8, 2 ** int(k) + 1, 2 ** (int(k) + 1))
+            M = torus.grid_size(2 ** (int(k) + 1), torus.SUP_L1_FACTOR)
+        else:
+            vp = vallee_poussin(int(k))
+            n, c, M = vp.freqs[:, 0], vp.values, torus.grid_size(vp.degree, torus.SUP_L1_FACTOR)
+        assert block_shape(n, c, M) == shape
+        worst = sup = 0.0
+        for got, one_fft in decimated_blocks(n, c, M):
+            worst = max(worst, np.abs(got - one_fft).max() / np.abs(one_fft).max())
+            sup = max(sup, np.abs(one_fft).max())
+        # the twiddle recurrence, and the four-step where it runs, against one
+        # FFT a block of exact twiddles: at most 1.4e-15 measured
+        assert worst <= 2e-15
+        reading = torus._grid_readings(n[:, None], c, M, [(math.inf, 0)])[0]
+        assert reading == pytest.approx(sup, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("table", ["sparse", "ingham", "vallee_poussin"])
     def test_assembled_samples_match_the_plain_fft(self, table):
@@ -650,6 +699,7 @@ class TestSplitRuns:
         ("vallee_poussin", (1, 1 << 14)),       # on its sharpness grid, D = 4
         ("split", (16, torus._SPLIT_ROWS)),     # 2^16 points: one column group
         ("whole", (1, 2048)),
+        ("four_step", (16, torus._SPLIT_ROWS)),  # the Ingham tail k = 16: D = 32
     ])
     def test_one_group_starts_no_thread(self, cpus, table, shape):
         # the decimation and the whole grid are one group: two runs of the
@@ -658,6 +708,9 @@ class TestSplitRuns:
         if table == "ingham":
             n, c = extremals._ingham_coefficients(0.5, 0.8, 2 ** 12 + 1, 2 ** 13)
             M = torus.grid_size(2 ** 13, torus.SUP_L1_FACTOR)
+        elif table == "four_step":
+            n, c = extremals._ingham_coefficients(0.5, 0.8, 2 ** 16 + 1, 2 ** 17)
+            M = torus.grid_size(2 ** 17, torus.SUP_L1_FACTOR)
         elif table == "vallee_poussin":
             vp = vallee_poussin(12)
             n, c, M = vp.freqs[:, 0], vp.values, torus.grid_size(vp.degree, torus.SUP_L1_FACTOR)

@@ -1,5 +1,6 @@
 """Greedy block selection, the even/odd split, and the ratio harness."""
 
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -86,6 +87,44 @@ class TestSplit:
             for seq in (lam1, lam2):
                 for a, b in zip(seq.terms, seq.terms[1:]):
                     assert 2.0 <= b / a <= 16.0
+
+    # sha256 of the freqs and values bytes of every polynomial, in table
+    # order, as drawn one coefficient at a time
+    @pytest.mark.parametrize("args, digest", [
+        ((400,), "887778050d7ec84028ceba823bcd1ee2514ce42d6214dfdfc8a171d205e2e2de"),
+        ((7, 3, 11, 5), "ecc85a05b637c39b3875dc1516c0f166c091c4455f8b02c56534b0c63b70308c")])
+    def test_corpus_keeps_its_stream(self, args, digest):
+        h = hashlib.sha256()
+        for p in block_filling_corpus(*args):
+            h.update(p.freqs.tobytes())
+            h.update(p.values.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("args", [(20, 0, 40, 3), (10, 25, 62, 9), (40, 1, 18, 0)])
+    def test_corpus_reads_the_stream_of_integers(self, args):
+        # the reference: one rng.integers call per block, then one
+        # standard_normal(2) call per distinct pick; blocks 0 (no draw),
+        # past 32 (64-bit draws) and up to 62 (the last in int64)
+        count, k_lo, k_hi, seed = args
+        for t, p in enumerate(block_filling_corpus(*args)):
+            rng = np.random.default_rng([seed, t])
+            coeffs = {}
+            for k in range(k_lo, k_hi + 1):
+                lo, hi = DyadicBlocks.shifted_block_range(k)
+                for n in set(rng.integers(lo, hi + 1, size=min(3, hi - lo + 1)).tolist()):
+                    coeffs[n] = complex(*rng.standard_normal(2))
+            assert p.freqs[:, 0].tolist() == list(coeffs)
+            assert p.values.tolist() == list(coeffs.values())
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"k_hi": 63}, "block 63 reaches frequency 18446744073709551614, past int64"),
+        ({"seed": -1}, "--seed must be a non-negative integer, got -1")])
+    def test_refused_before_any_draw(self, monkeypatch, kwargs, message):
+        def no_draw(seed):
+            raise AssertionError("drew")
+        monkeypatch.setattr(np.random, "PCG64", no_draw)
+        with pytest.raises(ValueError, match=message):
+            block_filling_corpus(1, **kwargs)
 
     def test_empty_block_range_rejected(self):
         with pytest.raises(ValueError, match="empty block range 5..3"):
