@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import extremals, growth, multipliers, realline, spectra, zygmund
+from . import extremals, growth, multipliers, realline, spectra, torus, zygmund
 
 
 # The acceptance suite of the checkout this module sits in (src/paleyzyg/cli.py).
@@ -121,6 +121,11 @@ def cmd_zygmund_ratio(args):
     if args.vp is not None:
         polys.append(("vp", args.vp, extremals.vallee_poussin(args.vp)))
     if args.corpus > 0:
+        # every corpus polynomial reaches block --k-hi and is read on the
+        # alias-free grid of its degree: refused, like the corpus, before
+        # any draw
+        top = zygmund._check_corpus(args.corpus, args.k_lo, args.k_hi, args.seed)
+        torus.check_budget(torus.grid_size(top, 2), f"--k-hi {args.k_hi}: block {args.k_hi}'s grid")
         corpus = zygmund.block_filling_corpus(args.corpus, k_lo=args.k_lo, k_hi=args.k_hi,
                                               seed=args.seed)
         polys += [("corpus", i, p) for i, p in enumerate(corpus)]
@@ -135,8 +140,8 @@ def cmd_zygmund_ratio(args):
 
 
 def cmd_sharpness(args):
-    if args.n_max < args.n_min:
-        raise ValueError(f"--n-max must be >= --n-min, got {args.n_min}..{args.n_max}")
+    if args.n_max <= args.n_min:
+        raise ValueError(f"--n-max must be > --n-min, got {args.n_min}..{args.n_max}")
     table = extremals.sharpness_experiment(range(args.n_min, args.n_max + 1),
                                            _items(args.r, float, "--r"))
     rows = []
@@ -156,11 +161,8 @@ def cmd_sharpness(args):
 
 
 def cmd_ingham(args):
-    if args.m_max < args.m_min:
-        raise ValueError(f"--m-max must be >= --m-min, got {args.m_min}..{args.m_max}")
-    if args.m_max == args.m_min:
-        raise ValueError(f"need at least 2 values of k to compare tails, "
-                         f"got {args.m_min}..{args.m_max}")
+    if args.m_max <= args.m_min:
+        raise ValueError(f"--m-max must be > --m-min, got {args.m_min}..{args.m_max}")
     rows = []
     prev = None
     monotone = True

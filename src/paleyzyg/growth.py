@@ -14,7 +14,7 @@ smaller p reads its own exact grid as a strided view of the big one.  The
 p/2-th powers come from one ladder of squares of the big grid per chunk.
 Sidon sups are read by torus as well; the Sidon phase ascent reads its
 candidates' squared moduli off one real product per step
-(_kernels.min_sup_phase).
+(_min_sup_phase).
 
 The 'phase-ascent' draw of a moment probe is the flat (all-ones)
 polynomial on the frequency set, and it attains the supremum over
@@ -41,13 +41,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .extremals import _ols_slope
 from .spectra import FrequencySet, LacunarySeq, _sumset, product_set
 # next_pow2 is unused here but stays bound: perfbench/tests checks that a
 # traced run rebinds a name one module imports from another.
-from .torus import (SUP_L1_FACTOR, TrigPoly, _grid_readings, _int_keys, _sample, check_budget,
-                    check_seed, grid_size, next_pow2)
+from .torus import (SUP_L1_FACTOR, TrigPoly, _bincount, _grid_readings, _int_keys, _sample,
+                    check_budget, check_seed, grid_size, next_pow2)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class Ensemble:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"--trials must be >= 1, got {self.trials}")
         check_seed(self.seed)
 
 
@@ -160,10 +159,7 @@ class SumsetSpectrum:
         amps = np.repeat(eps[:, self._combos].prod(axis=2), 2 ** self.k, axis=1)
         # row t accumulates into bins t * n .. t * n + n - 1
         bins = (self._bins + n * np.arange(len(eps))[:, None]).ravel()
-        V = np.empty((len(eps), n), dtype=np.complex128)
-        V.real = np.bincount(bins, amps.real.ravel(), V.size).reshape(V.shape)
-        V.imag = np.bincount(bins, amps.imag.ravel(), V.size).reshape(V.shape)
-        return self._freqs, V
+        return self._freqs, _bincount(bins, amps.ravel(), len(eps) * n).reshape(len(eps), n)
 
     def describe(self):
         return f"sumset(k={self.k}, base {self.used_terms} terms, {len(self._fset)} freqs)"
@@ -453,6 +449,27 @@ def offdiagonal_split(E: EMatrix, order=None):
     return diag, upper, lower
 
 
+def _min_sup_phase(base, char, phases, sq):
+    """Among candidate phases, minimise sup |base + phase * char| over the
+    complex128 arrays base and char: (best_index, best_sup).
+
+    In real arithmetic |b + phi c|^2 = 2 Re(phi) Re(c conj b) -
+    2 Im(phi) Im(c conj b) + |b|^2 + |c|^2, so the squared moduli of all
+    candidates are one (phases, 3) @ (3, M) real product, written into sq,
+    a float (len(phases), M) buffer, and only the winner's square root is
+    taken."""
+    rot = np.ones((len(phases), 3))
+    rot[:, :2] = phases.view(np.float64).reshape(-1, 2) * (2.0, -2.0)
+    rhs = np.empty((3, len(base)))
+    rhs[:2] = (char * np.conj(base)).view(np.float64).reshape(-1, 2).T
+    parts = base.view(np.float64) ** 2      # re^2, im^2 interleaved
+    parts += char.view(np.float64) ** 2
+    np.add(parts[0::2], parts[1::2], out=rhs[2])
+    sups = np.matmul(rot, rhs, out=sq).max(axis=1)
+    b = int(np.argmin(sups))
+    return b, math.sqrt(sups[b])
+
+
 def sidon_lower_bound(m, freqs, ensembles) -> float:
     """Best sum |m(n) f_hat(n)| / sup|f| over the ensemble (grid sup).
 
@@ -483,7 +500,7 @@ def sidon_lower_bound(m, freqs, ensembles) -> float:
             for _ in range(3):
                 for i in range(len(elems)):
                     base = f - coeffs[i] * chars[i]
-                    b, s = _kernels.min_sup_phase(base, chars[i], phases, sq)
+                    b, s = _min_sup_phase(base, chars[i], phases, sq)
                     if s < sup:
                         sup = s
                         coeffs[i] = phases[b]

@@ -1,9 +1,13 @@
 """Real-line machinery: compactly supported signals, dyadic frequency blocks,
 Paley measures, and the weighted inequality probes.
 
-Signals live on [-L, L) sampled at M points (power of two); the transform is
-a spacing-h rectangle rule, trusted on the band |xi| <= 1/(4h).  Centre the
-sample index, n = j - M/2, so that x_j = n h (L = h M / 2) and
+Signals live on [-L, L) sampled at M points: a ``CompactSignal`` is a 1-D
+``torus.GridSignal`` of M >= 16 samples that carries L, so the grid's rules
+(power-of-two size, finite samples) and its means are torus's, and the L^1
+and Orlicz_{1/2} integrals are 2L times ``torus.lp_norm`` and
+``torus.orlicz_functional``.  The transform is a spacing-h rectangle rule,
+trusted on the band |xi| <= 1/(4h).  Centre the sample index, n = j - M/2,
+so that x_j = n h (L = h M / 2) and
 
     f_hat(xi) = h sum_n f_{n + M/2} e^{-2 pi i n x},   x = xi h, |x| <= 1/4,
 
@@ -72,7 +76,8 @@ import numpy as np
 
 from . import window
 from .multipliers import _diverging
-from .torus import _CHUNK_BYTES, _dyadic_blocks, _square_function, check_budget, check_seed
+from .torus import (_CHUNK_BYTES, GridSignal, _dyadic_blocks, _square_function, check_budget,
+                    check_seed, lp_norm, orlicz_functional)
 
 
 def _sample_points(half_width, size):
@@ -81,26 +86,21 @@ def _sample_points(half_width, size):
 
 
 @dataclass(frozen=True)
-class CompactSignal:
-    """Complex samples on [-L, L) at x_j = -L + j * h, h = 2L/M."""
+class CompactSignal(GridSignal):
+    """Complex samples on [-L, L) at x_j = -L + j * h, h = 2L/M: a 1-D
+    GridSignal of M >= 16 samples (so M is a power of two and the samples
+    are finite) that also carries the window's half-width L."""
 
-    values: np.ndarray
     half_width: float
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        m = v.shape[0]
-        if v.ndim != 1 or m < 16 or m & (m - 1):
-            raise ValueError("need a 1D sample array, power-of-two length >= 16")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise ValueError("samples must be finite")
+        super().__post_init__()
+        if self.dim != 1 or self.npoints < 16:
+            raise ValueError(f"need a 1D sample array of length >= 16, got shape {self.sizes}")
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
-        object.__setattr__(self, "values", v)
 
-    @property
-    def size(self):
-        return self.values.shape[0]
+    size = GridSignal.npoints     # M
 
     @property
     def h(self):
@@ -117,13 +117,14 @@ class CompactSignal:
     def integral(self):
         return complex(self.h * self.values.sum())
 
+    # The torus means times the window's length 2L: h sum_j = 2L (sum_j / M),
+    # the same product bit for bit, as M is a power of two
     def l1(self):
-        return float(self.h * np.abs(self.values).sum())
+        return 2.0 * self.half_width * lp_norm(self, 1)
 
     def orlicz_half(self):
         """int |f| log^{1/2}(1 + |f|) dx by the rectangle rule."""
-        a = np.abs(self.values)
-        return float(self.h * np.sum(a * np.sqrt(np.log1p(a))))
+        return 2.0 * self.half_width * orlicz_functional(self, 0.5)
 
 
 def _check_band(s: CompactSignal, top, what):

@@ -20,7 +20,9 @@ no sample array.  On two or more CPUs it reads the split's column groups in
 two runs, the second on a thread joined before the call returns, with the
 bits of one run; the decimation and the whole grid are one group each.
 ``_abs_readings`` is the same reduction of a whole sample array, for
-``lp_norm`` and ``orlicz_functional``.
+``lp_norm`` and ``orlicz_functional``, which read a real-line
+``CompactSignal`` too: it is a 1-D ``GridSignal``.  ``_bincount`` is the one
+complex scatter-add, for the decimated blocks and the sumset draws.
 ``_dyadic_blocks`` is the one Littlewood-Paley block loop, for the torus
 and the real line alike (``realline`` reads its blocks off the FFT of a
 signal's samples).
@@ -214,13 +216,14 @@ def coeffs_close(p, q, rel_tol=1e-10):
 class GridSignal:
     """Complex samples on the uniform grid theta_j = j / M (per axis).
 
-    Per-axis sizes must be powers of two, at least 2.
+    Per-axis sizes must be powers of two, at least 2.  The samples are
+    kept as a C-contiguous complex128 array, copied from strided input.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.ascontiguousarray(self.values, dtype=np.complex128)
         for m in v.shape:
             if m < 2 or m & (m - 1):
                 raise ValueError(f"grid sizes must be powers of two >= 2, got {v.shape}")
@@ -272,6 +275,16 @@ def _sizes_tuple(sizes, dim):
     if isinstance(sizes, int):
         return (sizes,) * dim
     return tuple(int(m) for m in sizes)
+
+
+def _bincount(bins, values, size):
+    """The complex scatter-add: out[b] is the sum of the values[i] with
+    bins[i] = b, b < size, added in index order (np.bincount on the real
+    and imaginary parts)."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(bins, values.real, size)
+    out.imag = np.bincount(bins, values.imag, size)
+    return out
 
 
 def _block_form(n, values, M):
@@ -388,9 +401,7 @@ def _block_form(n, values, M):
     # tail of 2^17 terms peaked 2 MB higher
     L = M // D
     bins = n % L
-    T = np.empty(L, dtype=np.complex128)
-    T.real = np.bincount(bins, values.real, L)
-    T.imag = np.bincount(bins, values.imag, L)
+    T = _bincount(bins, values, L)
     W = np.ones(L, dtype=np.complex128)
     W[bins] = np.exp((2j * np.pi / M) * (n % M))
     C = L // _SPLIT_ROWS if L >= _SPLIT_COLUMNS * _SPLIT_ROWS else 1

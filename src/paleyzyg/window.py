@@ -11,9 +11,6 @@ Its inverse transform psi is in closed form, a sum of four squared sincs
 
 import numpy as np
 
-SUPPORT_LO = 1.0
-SUPPORT_HI = 3.0
-
 
 def eta(xi):
     """Evaluate the window at xi (scalar or array)."""

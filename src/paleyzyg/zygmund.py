@@ -138,6 +138,21 @@ def inverse_sqrt_ratio_check(p: TrigPoly) -> ZygmundReport:
 _CORPUS_MAX_PER_BLOCK = 3
 
 
+def _check_corpus(count, k_lo, k_hi, seed):
+    """The refusals of block_filling_corpus, in order; returns the largest
+    frequency of block k_hi."""
+    check_seed(seed)
+    if k_hi < k_lo:
+        raise ValueError(f"empty block range {k_lo}..{k_hi}")
+    last = DyadicBlocks.shifted_block_range(k_hi)[1]
+    if last >= 2 ** 63:
+        raise ValueError(f"block {k_hi} reaches frequency {last}, past int64: "
+                         "--k-hi must be <= 62")
+    check_budget(count * (k_hi - k_lo + 1) * _CORPUS_MAX_PER_BLOCK,
+                 f"a corpus of {count} polynomials on blocks {k_lo}..{k_hi}")
+    return last
+
+
 def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240):
     """Seeded random polynomials whose support meets every shifted block
     k in [k_lo, k_hi]; coefficients are complex gaussians.
@@ -154,16 +169,9 @@ def block_filling_corpus(count, k_lo=1, k_hi=18, seed=20240):
     next word for k > 32.  Block 0 has one frequency and draws nothing.
 
     An empty range, k_hi < k_lo, a block past int64, a negative seed or a
-    corpus over the budget raises ValueError before anything is drawn."""
-    check_seed(seed)
-    if k_hi < k_lo:
-        raise ValueError(f"empty block range {k_lo}..{k_hi}")
-    last = DyadicBlocks.shifted_block_range(k_hi)[1]
-    if last >= 2 ** 63:
-        raise ValueError(f"block {k_hi} reaches frequency {last}, past int64: "
-                         "--k-hi must be <= 62")
-    check_budget(count * (k_hi - k_lo + 1) * _CORPUS_MAX_PER_BLOCK,
-                 f"a corpus of {count} polynomials on blocks {k_lo}..{k_hi}")
+    corpus over the budget raises ValueError before anything is drawn
+    (_check_corpus)."""
+    _check_corpus(count, k_lo, k_hi, seed)
     blocks = [(DyadicBlocks.shifted_block_range(k)[0], min(_CORPUS_MAX_PER_BLOCK, 2 ** k), k)
               for k in range(k_lo, k_hi + 1)]
     polys = []

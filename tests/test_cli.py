@@ -4,6 +4,7 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from paleyzyg import (Ensemble, FrequencySet, best_ratios, extremals, geometric_lacunary,
@@ -166,16 +167,14 @@ class TestExitCodes:
         assert f"error: {message}" in captured.err
 
     @pytest.mark.parametrize("argv, message", [
-        (("sharpness", "--n-min", "5", "--n-max", "5"),
-         "a slope needs at least 2 distinct x values, got [5]"),
-        (("sharpness", "--n-min", "6", "--n-max", "5"), "--n-max must be >= --n-min, got 6..5"),
+        (("sharpness", "--n-min", "5", "--n-max", "5"), "--n-max must be > --n-min, got 5..5"),
+        (("sharpness", "--n-min", "6", "--n-max", "5"), "--n-max must be > --n-min, got 6..5"),
         (("bonami", "--count", "5", "--p", "4,4,4", "--cap", "256"),
          "need at least 3 distinct p values for a slope fit, got (4, 4, 4)"),
         (("zygmund-ratio",), "nothing to read: give --vp or --corpus >= 1"),
         (("zygmund-ratio", "--vp", "3", "--corpus", "-3"), "--corpus must be >= 0, got -3"),
-        (("ingham", "--m-min", "12", "--m-max", "10"), "--m-max must be >= --m-min, got 12..10"),
-        (("ingham", "--m-min", "10", "--m-max", "10"),
-         "need at least 2 values of k to compare tails, got 10..10"),
+        (("ingham", "--m-min", "12", "--m-max", "10"), "--m-max must be > --m-min, got 12..10"),
+        (("ingham", "--m-min", "10", "--m-max", "10"), "--m-max must be > --m-min, got 10..10"),
         (("rline-paley", "--k-min", "-1100", "--k-max", "2", "--corpus", "1"),
          "density blocks must lie in -1022..1022, got -1100..2"),
         (("rline-paley", "--measure", "atoms:3,1", "--k-min", "1100", "--k-max", "1200",
@@ -200,6 +199,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", ["lambda-p", "bonami", "sidon-lb"])
+    def test_zero_trials_named(self, capsys, command):
+        assert main([command, "--trials", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("k_hi", [23, 62])
+    def test_corpus_grid_over_budget_named_before_the_draw(self, capsys, monkeypatch, k_hi):
+        # the top block's grid is refused before any polynomial is drawn
+        def no_draw(*args):
+            raise AssertionError("drew a polynomial")
+
+        monkeypatch.setattr(np.random, "PCG64", no_draw)
+        assert main(["zygmund-ratio", "--corpus", "1", "--k-hi", str(k_hi)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --k-hi {k_hi}: block {k_hi}'s grid needs "
+                                f"{2 ** (k_hi + 2)} points, over the budget of 16777216\n")
 
     def test_corpus_block_past_int64_named(self, capsys):
         assert main(["zygmund-ratio", "--corpus", "1", "--k-hi", "63"]) == 1

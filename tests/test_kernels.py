@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paleyzyg import (Ensemble, FrequencySet, MultiplierSeq, SumsetSpectrum, _kernels,
-                      geometric_lacunary, sidon_lower_bound)
+                      geometric_lacunary, growth, sidon_lower_bound)
 from paleyzyg.torus import SUP_L1_FACTOR, _sample, grid_size
 
 
@@ -32,7 +32,7 @@ def test_min_sup_phase_matches_loop(rng):
         sup = max(abs(b + ph * c) for b, c in zip(base, char))
         if sup < best_sup:
             best_i, best_sup = i, sup
-    bi, bv = _kernels.min_sup_phase(base, char, phases)
+    bi, bv = growth._min_sup_phase(base, char, phases, np.empty((16, 128)))
     assert bi == best_i
     assert abs(bv - best_sup) <= 1e-12 * max(best_sup, 1.0)
 
@@ -43,10 +43,11 @@ def test_min_sup_phase_buffers_change_nothing(rng):
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
     sq = np.empty((16, 256))
     for _ in range(2):      # the buffer holds the last call's squared moduli
-        assert _kernels.min_sup_phase(base, char, phases, sq) == \
-            _kernels.min_sup_phase(base, char, phases)
-        np.testing.assert_allclose(sq, np.abs(base + phases[:, None] * char) ** 2,
-                                   rtol=1e-12, atol=1e-12 * np.abs(base).max() ** 2)
+        got = growth._min_sup_phase(base, char, phases, sq)
+        want = np.abs(base + phases[:, None] * char) ** 2
+        np.testing.assert_allclose(sq, want, rtol=1e-12, atol=1e-12 * np.abs(base).max() ** 2)
+        assert got == growth._min_sup_phase(base, char, phases, np.full((16, 256), np.nan))
+        assert got[0] == int(np.argmin(sq.max(axis=1))) and got[1] == np.sqrt(sq.max(axis=1).min())
         base = base[::-1].copy()
 
 
@@ -90,13 +91,13 @@ def test_sidon_ascent_takes_the_complex_phase_sequence(elems, monkeypatch):
     M = grid_size(max(abs(n) for n in elems), SUP_L1_FACTOR)
     chars = _sample(np.array(elems)[:, None], np.eye(len(elems)), (M,))
     want, want_sup = _complex_ascent(chars)
-    results, kernel = [], _kernels.min_sup_phase
+    results, kernel = [], growth._min_sup_phase
 
     def recording(*args):
         results.append(kernel(*args))
         return results[-1]
 
-    monkeypatch.setattr(_kernels, "min_sup_phase", recording)
+    monkeypatch.setattr(growth, "_min_sup_phase", recording)
     bound = sidon_lower_bound(MultiplierSeq.constant(1.0, max(elems)),
                               FrequencySet(1, frozenset(elems)), Ensemble("phase-ascent"))
     assert len(results) == 3 * len(elems)

@@ -101,6 +101,32 @@ class TestTransform:
         with pytest.raises(ValueError, match="half_width must be finite and positive"):
             CompactSignal(np.ones(16, dtype=complex), half_width)
 
+    @pytest.mark.parametrize("values, message", [
+        (np.ones((16, 16), dtype=complex), "need a 1D sample array of length >= 16"),
+        (np.ones(8, dtype=complex), "need a 1D sample array of length >= 16"),
+        (np.ones(48, dtype=complex), "grid sizes must be powers of two"),
+        (np.r_[np.ones(15), np.nan].astype(complex), "grid values must be finite")])
+    def test_sample_rules(self, values, message):
+        # a 1-D GridSignal of 16 samples or more: the grid rules are torus's
+        with pytest.raises(ValueError, match=message):
+            CompactSignal(values, 4.0)
+
+    def test_a_signal_is_a_grid_signal(self):
+        s = random_mean_zero_corpus(1)[0]
+        assert isinstance(s, torus.GridSignal)
+        assert torus.lp_norm(s, 1) == torus.lp_norm(torus.GridSignal(s.values), 1)
+        assert torus.orlicz_functional(s, 0.5) == \
+            torus.orlicz_functional(torus.GridSignal(s.values), 0.5)
+        assert torus.lp_norm(s, math.inf) == float(np.abs(s.values).max())
+
+    def test_l1_and_orlicz_keep_the_rectangle_rule_bits(self):
+        # the criterion-9 corpus against the rectangle rules the torus means
+        # replaced: h sum |f| and h sum |f| sqrt(log(1 + |f|))
+        for s in random_mean_zero_corpus(100):
+            a = np.abs(s.values)
+            assert s.l1() == float(s.h * np.abs(s.values).sum())
+            assert s.orlicz_half() == float(s.h * np.sum(a * np.sqrt(np.log1p(a))))
+
     @pytest.mark.parametrize("M", [16, 32, 2048, 2 ** 15])
     @pytest.mark.parametrize("L", [0.5, 4.0, 64.0])
     def test_nufft_matches_dense_sum(self, M, L):

@@ -434,6 +434,19 @@ class TestAnalyze:
         assert p.coeffs[5] == pytest.approx(1.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("shape, view", [((16, 32), np.transpose), ((64,), lambda x: x[::2])],
+                             ids=["transposed", "strided"])
+    def test_strided_samples_read_as_their_contiguous_copy(self, shape, view):
+        rng = np.random.default_rng(5)
+        v = view(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        s, copy = GridSignal(v), GridSignal(np.ascontiguousarray(v))
+        assert s.values.flags.c_contiguous and np.array_equal(s.values, v)
+        for p in (1, 2, math.inf):
+            assert lp_norm(s, p) == lp_norm(copy, p)
+        assert orlicz_functional(s, 0.5) == orlicz_functional(copy, 0.5)
+        assert analyze(s) == analyze(copy)
+
+
 class TestLpNorm:
     def test_character_all_p(self):
         s = synthesize(TrigPoly(1, {7: 1.0}), 64)
