@@ -218,16 +218,28 @@ def cmd_sidon_lb(args):
 
 
 def _parse_measure(args):
-    """The measure of a real-line command, after the one check of its block
-    range."""
+    """The measure of a real-line command, after the checks of its block
+    range, all before the corpus is drawn: the range is not empty, the
+    blocks every signal reads, the density's and the square function's,
+    end in the corpus window's top block, and a density's blocks are
+    floats."""
     if args.k_max < args.k_min:
         raise ValueError(f"empty block range {args.k_min}..{args.k_max}: "
                          "--k-max must be >= --k-min")
+    window = realline._corpus_window()
+    top = realline.default_k_range(window)[1]
+    if (args.measure == "inverse-abs" or args.cmd == "rline-paley") and args.k_max > top:
+        raise ValueError(f"block {max(args.k_min, top + 1)} lies outside the validity band "
+                         f"|xi| <= {window.band}: --k-max must be <= {top}, the corpus "
+                         f"window's top block, got {args.k_max}")
     if args.measure == "inverse-abs":
         if args.gap != 0.0:
             raise ValueError("--gap applies to atoms only; inverse-abs vanishes below "
                              "2^k_min by construction")
-        return realline.PaleyMeasure.inverse_abs(args.k_min, args.k_max)
+        try:
+            return realline.PaleyMeasure.inverse_abs(args.k_min, args.k_max)
+        except ValueError as e:
+            raise ValueError(f"{e} (--k-min..--k-max)") from None
     if args.measure.startswith("atoms:"):
         pairs = []
         for part in args.measure.split(":", 1)[1].split(";"):

@@ -38,18 +38,28 @@ threshold (torus._CHUNK_BYTES), so that steady calls take no page faults:
 is at most 2.1e-14 h ||f||_1 over M = 16 .. 2^15 and L = 0.5, 4, 64, 2,003
 nodes each (measured; an exact evaluation in Cooley-Tukey factored form is
 itself 3.1e-14 off at 2^15, from rounding).
-Nothing is cached: the FFT depends on the signal alone and the weights on
-the node alone, and their exponentials are under a tenth of a call, so a
-plan that kept them for a node set would save little.  A node's f_hat thus
-has the same bits alone or in any batch, and a density block adds the same
-number to any range that holds it (``_sum_by_block``).
+The FFT depends on the signal alone and the weights on the node alone, and
+the weights are not cheap: with their exponentials they take 9.8 of the
+26 us of a 128-node pass (38%).  So the nodes of a
+density block, which depend only on the window, have a plan
+(``_density_block``, the NUFFT plan of Barnett et al., SIAM J. Sci. Comput.
+41, 2019): the block's nodes and weights, each node's bin and its Gaussian
+weights, built once per window and block and kept in an LRU cache of
+_PLANS = 32 plans of about 31 KiB each.  ``mu_l2_sq`` on a density then
+takes one spectrum and one pass per block: 0.36 to 0.43 ms for blocks
+-10..4 at M = 2048, where one ``fourier_transform`` at the same nodes takes
+0.56 ms (these timings on a 2-core Xeon, numpy 2.4).  Other node sets take
+their weights pass by pass.  A node's f_hat has the same bits alone, in any batch or by a
+plan, and a density block adds the same number to any range that holds it
+(``_sum_by_block``).
 
 On the dual grid xi_m = m/(2L) the transform is h (-1)^m fft(f)_m, and the
 factor cancels on the way back, so the dyadic blocks
 Delta_k f = ifft(eta(2^-k xi) fft(f)) are all read off one FFT of the
 samples, by the block loop the torus square function uses
-(torus._dyadic_blocks); this module takes forward FFTs only.  One check,
-``_check_band``, holds node grids and blocks to the band.
+(torus._dyadic_blocks); this module takes forward FFTs only.  One rule,
+``_in_band``, holds node grids, density blocks and dyadic blocks to the
+band.
 
 Measures are plain data: atoms, or the density |xi|^-1 on the signed blocks
 k_min..k_max (``PaleyMeasure.inverse_abs``).  Atom integrals are point
@@ -58,8 +68,9 @@ signed block half, which is where all the structure lives; density blocks
 lie in -1022..1022, where every node is a normal float.  Block masses,
 int |f_hat|^2 dmu and the witness integrals all sum over the nodes of
 ``PaleyMeasure._nodes`` (one routine for atoms and densities, which also
-names the block of each row), block by block, and every node's f_hat comes
-from ``fourier_transform``.  For the |xi|^-1 density the quadrature is off,
+names the block of each row; a density's nodes are ``_block_points``, which
+its plans read too), block by block, and every node's f_hat comes from the
+gridding of ``fourier_transform``.  For the |xi|^-1 density the quadrature is off,
 against the exact h^2 sum_l r(l) mu_hat(l h), r the sample autocorrelation,
 by up to 2.36e-4 relative over the 100 criterion-9 signals (signal 49, for
 blocks -10..4 and -2..4 alike, and all of it from block 3, 8 <= |xi| < 16),
@@ -127,11 +138,16 @@ class CompactSignal(GridSignal):
         return 2.0 * self.half_width * orlicz_functional(self, 0.5)
 
 
+def _in_band(s: CompactSignal, top):
+    """Whether |xi| <= top lies in the validity band |xi| <= s.band, with a
+    relative slack of 1e-12: the one band rule, for node grids, density
+    blocks and dyadic blocks alike."""
+    return top <= s.band * (1 + 1e-12)
+
+
 def _check_band(s: CompactSignal, top, what):
-    """Reject `what`, whose largest |xi| is top, past the validity band
-    |xi| <= s.band, with a relative slack of 1e-12: the one band check, for
-    node grids and dyadic blocks alike."""
-    if not top <= s.band * (1 + 1e-12):
+    """Reject `what`, whose largest |xi| is top, past the validity band."""
+    if not _in_band(s, top):
         raise ValueError(f"{what} lies outside the validity band |xi| <= {s.band}")
 
 
@@ -147,15 +163,21 @@ _PASS = 1 << ((_CHUNK_BYTES // (24 * 2 * _SPREAD)).bit_length() - 1)
 _TAPS = np.arange(1.0 - _SPREAD, _SPREAD + 1.0)
 
 
-def _grid_pass(rows, frac, first, out):
-    """One pass of fourier_transform: out[j] is the sum over the taps t of
-    e^{-3 pi (frac[j, 0] - t)^2 / (4 S)} rows[first[j], t], for the nodes
-    of the pass, which lie frac[j, 0] into their bin; rows[m] is the window
-    of 2 S spectrum bins that starts at bin m."""
+def _weights(frac):
+    """The Gaussian weights e^{-3 pi (frac[j, 0] - t)^2 / (4 S)} of the nodes
+    j of a pass, which lie frac[j, 0] into their bin, for the taps t: the
+    one weight rule, of fourier_transform's passes and the density plans."""
     weights = frac - _TAPS
     weights *= weights
     weights *= -0.75 * np.pi / _SPREAD
     np.exp(weights, out=weights)
+    return weights
+
+
+def _grid_pass(rows, weights, first, out):
+    """One pass of the gridding: out[j] is the sum over the taps t of
+    weights[j, t] rows[first[j], t], where rows[m] is the window of 2 S
+    spectrum bins that starts at bin m."""
     terms = rows[first]
     # the parts one by one, the same products: terms *= weights would cast
     # the weights through a complex buffer as large as terms
@@ -164,14 +186,12 @@ def _grid_pass(rows, frac, first, out):
     np.add.reduce(terms, axis=1, out=out)
 
 
-def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
-    """f_hat(xi) = h * sum_j f(x_j) exp(-2 pi i xi x_j) on the given grid,
-    by the type-2 NUFFT of the module docstring.  Frequencies outside the
-    validity band are rejected.  The value at a node depends on that node
-    alone, not on the other nodes of the call."""
-    freqs = np.atleast_1d(np.asarray(freq_grid, dtype=float))
-    if freqs.size:
-        _check_band(s, float(np.abs(freqs).max()), "frequency grid")
+def _spectrum_rows(s: CompactSignal):
+    """Steps 1 and 2 of the gridding on s, which depend on the samples
+    alone: (rows, offset, gain).  rows[m] is the window of 2 S bins from m
+    on of the periodically extended spectrum, a node in bin b (u = N x
+    rounded down) reads the row b + offset, and f_hat is gain times the sum
+    of its taps."""
     M = s.size
     # e^{tau n^2} for the centred index n, with tau M^2 = pi S / 3
     deconvolved = s.values * np.exp((np.pi * _SPREAD / 3)
@@ -192,16 +212,28 @@ def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
     rows = np.lib.stride_tricks.as_strided(
         spectrum, (spectrum.size + 1 - 2 * _SPREAD, 2 * _SPREAD), 2 * spectrum.strides,
         writeable=False)
+    return rows, 1 - _SPREAD + edge, 0.5 * s.h * math.sqrt(3.0 / _SPREAD)
+
+
+def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
+    """f_hat(xi) = h * sum_j f(x_j) exp(-2 pi i xi x_j) on the given grid,
+    by the type-2 NUFFT of the module docstring.  Frequencies outside the
+    validity band are rejected.  The value at a node depends on that node
+    alone, not on the other nodes of the call."""
+    freqs = np.atleast_1d(np.asarray(freq_grid, dtype=float))
+    if freqs.size:
+        _check_band(s, float(np.abs(freqs).max()), "frequency grid")
+    rows, offset, gain = _spectrum_rows(s)
     # each node's bin, its offset in the bin and the row of its first tap,
     # once per call
     u = (4.0 * s.half_width) * freqs     # N x = 2 M h xi = 4 L xi, in bins
     lo = np.floor(u)
     frac = (u - lo)[:, None]
-    first = lo.astype(np.int64) + (1 - _SPREAD + edge)
+    first = lo.astype(np.int64) + offset
     out = np.empty(freqs.shape, dtype=np.complex128)
     for i in range(0, freqs.size, _PASS):
-        _grid_pass(rows, frac[i:i + _PASS], first[i:i + _PASS], out[i:i + _PASS])
-    return (0.5 * s.h * math.sqrt(3.0 / _SPREAD)) * out
+        _grid_pass(rows, _weights(frac[i:i + _PASS]), first[i:i + _PASS], out[i:i + _PASS])
+    return gain * out
 
 
 def _blocks(s: CompactSignal, ks):
@@ -255,13 +287,52 @@ def _gauss_legendre(n):
 
 
 def _block_points(ks):
-    """Gauss-Legendre nodes and weights on [2^k, 2^{k+1}), one row for each
-    k in ks."""
+    """The |xi|^-1 density's nodes and weights on the signed blocks
+    +-[2^k, 2^{k+1}), one row for each k in ks: the Gauss-Legendre nodes of
+    [2^k, 2^{k+1}) and their negatives, and the Gauss-Legendre weights
+    times |xi|^-1."""
     gx, gw = _gauss_legendre(_GL_NODES)
     lo = np.ldexp(1.0, np.asarray(ks, dtype=np.int64))[:, None]
     hi = 2.0 * lo
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + rad * gx, rad * gw
+    xs_pos, ws = mid + rad * gx, rad * gw
+    xs = np.concatenate([xs_pos, -xs_pos], axis=1)
+    return xs, np.concatenate([ws, ws], axis=1) * (1.0 / np.abs(xs))
+
+
+@dataclass(frozen=True)
+class _DensityPlan:
+    """The gridding plan of one density block on one window, read-only:
+    its signed nodes xs and weights ws (_block_points), and for each node
+    its bin, floor(4 L xi) (plus the offset of _spectrum_rows: the row of
+    its first tap), and its Gaussian weights (_weights)."""
+
+    xs: np.ndarray
+    ws: np.ndarray
+    bins: np.ndarray
+    weights: np.ndarray
+
+
+# Plans kept at once: about 31 KiB each, the (128, 28) Gaussian weights and
+# three 128-vectors, so about 1 MiB in all; the corpus window's Paley
+# blocks -10..4 take 15, and its Zygmund blocks -2..4 are among them.
+_PLANS = 32
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _density_block(half_width, k):
+    """The plan of the signed density block k on the window [-L, L), L =
+    half_width: the part of mu_l2_sq that depends on the nodes alone, which
+    every signal on the window shares.  The cache hands every caller the
+    same arrays, so they are read-only.  Build it only for a block inside
+    the band of some signal on the window, whose bins fit in int64."""
+    xs, ws = (row[0] for row in _block_points([k]))
+    u = (4.0 * half_width) * xs          # in bins, as in fourier_transform
+    lo = np.floor(u)
+    plan = _DensityPlan(xs, ws, lo.astype(np.int64), _weights((u - lo)[:, None]))
+    for a in (plan.xs, plan.ws, plan.bins, plan.weights):
+        a.flags.writeable = False
+    return plan
 
 
 @dataclass(frozen=True)
@@ -334,13 +405,17 @@ class PaleyMeasure:
                 keep = (nodes[:, 0] != 0) & (int(k_range[0]) <= ks) & (ks <= int(k_range[1]))
                 nodes, ks = nodes[keep], ks[keep]
             return nodes[:, :1], nodes[:, 1:], ks
+        blocks = self._density_blocks(k_range)
+        ks = np.arange(blocks.start, blocks.stop)
+        return (*_block_points(ks), ks)
+
+    def _density_blocks(self, k_range):
+        """The density blocks in k_range, or all of them for None, as a
+        range."""
         k_lo, k_hi = self.k_min, self.k_max
         if k_range is not None:
             k_lo, k_hi = max(int(k_range[0]), k_lo), min(int(k_range[1]), k_hi)
-        ks = np.arange(k_lo, k_hi + 1)
-        xs_pos, ws = _block_points(ks)
-        xs = np.concatenate([xs_pos, -xs_pos], axis=1)
-        return xs, np.concatenate([ws, ws], axis=1) * (1.0 / np.abs(xs)), ks
+        return range(k_lo, k_hi + 1)
 
     def block_mass(self, k):
         return self.block_masses(k, k)[0]
@@ -387,14 +462,34 @@ def paley_sup(mu: PaleyMeasure, k_range) -> PaleySupReport:
 
 
 def mu_l2_sq(mu: PaleyMeasure, s: CompactSignal, k_range=None) -> float:
-    """int |f_hat|^2 dmu over the blocks in range: f_hat by one
-    fourier_transform at all the nodes of PaleyMeasure._nodes, which are
-    exact atom evaluations or per-block quadrature for densities.  An atom
-    counts when its signed block +-[2^k, 2^{k+1}) is in range, as in
-    block_mass; k_range=None keeps every atom."""
-    xs, ws, _ = mu._nodes(k_range)
-    fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
-    return _sum_by_block(ws * np.abs(fhat) ** 2)
+    """int |f_hat|^2 dmu over the blocks in range, at the nodes of
+    PaleyMeasure._nodes, which are exact atom evaluations or per-block
+    quadrature for densities.  Atoms take one fourier_transform; a density
+    takes one gridding pass per block, by its plan (_density_block), on one
+    spectrum of s, which gives the bits of fourier_transform at the block's
+    nodes.  The terms are summed by _sum_by_block.  An atom counts
+    when its signed block +-[2^k, 2^{k+1}) is in range, as in block_mass;
+    k_range=None keeps every atom."""
+    if mu.kind == "atoms":
+        xs, ws, _ = mu._nodes(k_range)
+        fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
+        return _sum_by_block(ws * np.abs(fhat) ** 2)
+    ks = mu._density_blocks(k_range)
+    if not ks:
+        return 0.0
+    # every node of block k lies below 2^{k+1}: if the top block's end is in
+    # the band the range is, and otherwise its blocks are checked in order,
+    # by their largest |xi|, to name the first block out of the band
+    if not _in_band(s, 2.0 ** (ks[-1] + 1)):
+        for k, xs in zip(ks, _block_points(ks)[0]):
+            _check_band(s, xs.max(), f"block {k}")
+    plans = [_density_block(s.half_width, k) for k in ks]
+    rows, offset, gain = _spectrum_rows(s)
+    out = np.empty((len(plans), 2 * _GL_NODES), dtype=np.complex128)
+    for plan, row in zip(plans, out):
+        _grid_pass(rows, plan.weights, plan.bins + offset, row)
+    ws = np.array([plan.ws for plan in plans])
+    return _sum_by_block(ws * np.abs(gain * out) ** 2)
 
 
 @dataclass(frozen=True)
@@ -509,7 +604,7 @@ def rudin_counterexample(mu: PaleyMeasure, J, k_search_max=None) -> RudinReport:
         witnesses.append(_sum_by_block(ws * fhat_at(xs) ** 2))
 
     L, M = _CORPUS_HALF_WIDTH, _CORPUS_SIZE
-    top = default_k_range(CompactSignal(np.zeros(M), L))[1]
+    top = default_k_range(_corpus_window())[1]
     x = _sample_points(L, M)
     partials = []
     acc = np.zeros(M)
@@ -587,6 +682,12 @@ def product_paley_sup_2d(mu: PaleyMeasure, nu: PaleyMeasure, k_range) -> Product
 _CORPUS_HALF_WIDTH = 4.0
 _CORPUS_SIZE = 2048
 _CORPUS_BUMPS = 3
+
+
+def _corpus_window() -> CompactSignal:
+    """The zero signal on the corpus window: its band and default_k_range,
+    known before any corpus signal is drawn."""
+    return CompactSignal(np.zeros(_CORPUS_SIZE), _CORPUS_HALF_WIDTH)
 
 
 def random_mean_zero_corpus(count, seed=513):

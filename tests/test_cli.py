@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paleyzyg import (Ensemble, FrequencySet, best_ratios, extremals, geometric_lacunary,
-                      torus)
+                      realline, torus)
 from paleyzyg.cli import main
 
 
@@ -219,6 +219,40 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (f"error: --k-hi {k_hi}: block {k_hi}'s grid needs "
                                 f"{2 ** (k_hi + 2)} points, over the budget of 16777216\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rline-zygmund", "--k-min", "1030", "--k-max", "1040"),
+         "block 1030 lies outside the validity band |xi| <= 64.0: "
+         "--k-max must be <= 4, the corpus window's top block, got 1040"),
+        (("rline-zygmund", "--k-min", "-2", "--k-max", "9"),
+         "block 5 lies outside the validity band |xi| <= 64.0: "
+         "--k-max must be <= 4, the corpus window's top block, got 9"),
+        (("rline-paley", "--measure", "atoms:3,1", "--k-min", "0", "--k-max", "9"),
+         "block 5 lies outside the validity band |xi| <= 64.0: "
+         "--k-max must be <= 4, the corpus window's top block, got 9"),
+        (("rline-zygmund", "--k-min", "-1030", "--k-max", "2"),
+         "density blocks must lie in -1022..1022, got -1030..2 (--k-min..--k-max)")])
+    def test_rline_block_range_named_before_the_draw(self, capsys, monkeypatch, argv, message):
+        # the density's blocks and the square function's end in the corpus
+        # window's top block, default_k_range's at L = 4, M = 2048
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew the corpus")
+
+        monkeypatch.setattr(realline, "random_mean_zero_corpus", no_draw)
+        assert main([*argv, "--corpus", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_rline_zygmund_reads_atoms_past_the_window_top(self, capsys):
+        # the Zygmund probe reads no square function, so atoms in the band
+        # count on any block range
+        argv = ("rline-zygmund", "--measure", "atoms:3,1;40,0.5", "--gap", "1",
+                "--k-min", "0", "--corpus", "1", "--format", "json")
+        code, wide = run_cli(capsys, *argv, "--k-max", "9")
+        assert code == 0
+        _, narrow = run_cli(capsys, *argv, "--k-max", "4")
+        assert json.loads(narrow)["rows"][0][1] < json.loads(wide)["rows"][0][1]
 
     def test_corpus_block_past_int64_named(self, capsys):
         assert main(["zygmund-ratio", "--corpus", "1", "--k-hi", "63"]) == 1

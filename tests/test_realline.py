@@ -412,20 +412,89 @@ class TestBlockTables:
     def test_a_pass_fits_its_byte_budget(self):
         # _PASS is the largest power of two of nodes whose weights and terms,
         # 24 bytes a tap, fit in torus._CHUNK_BYTES; tracemalloc sees all
-        # that a pass allocates, numpy's casting buffers included
+        # that a pass of fourier_transform allocates, its weights and
+        # numpy's casting buffers included
         S, P, budget = realline._SPREAD, realline._PASS, torus._CHUNK_BYTES
         assert P & (P - 1) == 0 and P * 2 * S * 24 <= budget < 2 * P * 2 * S * 24
         rows = np.lib.stride_tricks.sliding_window_view(np.ones(4 * P, complex), 2 * S)
         frac, first = np.linspace(0.0, 0.99, P)[:, None], 3 * np.arange(P)
         out = np.empty(P, dtype=complex)
-        realline._grid_pass(rows, frac, first, out)
+        realline._grid_pass(rows, realline._weights(frac), first, out)
         tracemalloc.start()
         try:
-            realline._grid_pass(rows, frac, first, out)
+            realline._grid_pass(rows, realline._weights(frac), first, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= budget
+        # a density block's plan, which outlives the call, fits it too
+        plan = realline._density_block(4.0, 0)
+        assert sum(a.nbytes for a in (plan.xs, plan.ws, plan.bins, plan.weights)) < budget
+
+    @pytest.mark.parametrize("half_width", [0.5, 4.0, 64.0])
+    def test_a_plan_holds_the_nodes_rows_and_their_weights(self, half_width):
+        mu = PaleyMeasure.inverse_abs(-12, 8)
+        for k in (-12, -10, -3, 0, 4, 8):
+            plan = realline._density_block(half_width, k)
+            xs, ws, _ = mu._nodes((k, k))
+            assert np.all(plan.xs == xs[0]) and np.all(plan.ws == ws[0])
+            u = 4.0 * half_width * xs[0]
+            assert np.array_equal(plan.bins, np.floor(u).astype(np.int64))
+            assert np.array_equal(plan.weights, realline._weights((u - np.floor(u))[:, None]))
+
+    @staticmethod
+    def transform_at_the_nodes(mu, s, k_range):
+        """int |f_hat|^2 dmu by one fourier_transform at every node of the
+        range, summed by _sum_by_block: the oracle the plans must match."""
+        xs, ws, _ = mu._nodes(k_range)
+        fhat = fourier_transform(s, xs.ravel()).reshape(xs.shape)
+        return realline._sum_by_block(ws * np.abs(fhat) ** 2)
+
+    def test_plans_give_the_bits_of_the_transform_on_the_corpus(self):
+        mu = PaleyMeasure.inverse_abs(-10, 4)
+        for s in random_mean_zero_corpus(100):
+            for k_range in ((-10, 4), (-2, 4), (-10, -10), (0, 0), (4, 4), (3, 2), None):
+                want = self.transform_at_the_nodes(mu, s, k_range)
+                assert mu_l2_sq(mu, s, k_range) == want
+
+    def test_plans_are_kept_per_window(self):
+        # the same blocks on two windows, in turn: a plan keyed on the
+        # block alone would read one window's bins on the other
+        rng = np.random.default_rng(11)
+        for size in (2 ** e for e in range(4, 16)):
+            signals = [CompactSignal(rng.standard_normal(size) + 1j * rng.standard_normal(size),
+                                     half_width) for half_width in (0.5, 64.0)]
+            top = min(default_k_range(s)[1] for s in signals)
+            for k_range in ((-10, top), (top - 3, top), (top, top)):
+                mu = PaleyMeasure.inverse_abs(*k_range)
+                for s in signals:
+                    assert mu_l2_sq(mu, s) == self.transform_at_the_nodes(mu, s, None)
+
+    def test_plans_are_read_only_and_bounded(self):
+        plan = realline._density_block(4.0, 1)
+        for a in (plan.xs, plan.ws, plan.bins, plan.weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        for half_width in (0.5, 1.0, 2.0, 8.0):
+            for k in range(-5, 5):
+                realline._density_block(half_width, k)
+        info = realline._density_block.cache_info()
+        assert info.maxsize == realline._PLANS and info.currsize <= realline._PLANS
+
+    def test_a_density_past_the_band_names_its_first_block(self):
+        # block 5's nodes lie below 64, the corpus window's band; block 6's
+        # do not.  No plan or bin is made for a block past the band, so no
+        # cast warns, even at the top of the float range
+        s = random_mean_zero_corpus(1)[0]
+        assert s.band == 64.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k_hi in (6, 9, 1022):
+                with pytest.raises(ValueError, match=r"^block 6 lies outside the validity "
+                                                     r"band \|xi\| <= 64.0$"):
+                    mu_l2_sq(PaleyMeasure.inverse_abs(-2, k_hi), s)
+        assert mu_l2_sq(PaleyMeasure.inverse_abs(-2, 5), s) > 0
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the budget is glibc's default trim threshold")
