@@ -258,10 +258,13 @@ def _rline_corpus(args):
 
 def cmd_rline_paley(args):
     mu = _parse_measure(args)
-    corpus = _rline_corpus(args)
     k_range = (args.k_min, args.k_max)
+    try:
+        sup_rep = realline.paley_sup(mu, k_range)
+    except ValueError as e:
+        raise ValueError(f"{e} (--k-min..--k-max)") from None
+    corpus = _rline_corpus(args)
     rep = realline.paley_inequality_probe(mu, corpus, k_range)
-    sup_rep = realline.paley_sup(mu, k_range)
     rows = [list(r) for r in rep.rows]
     prov = {"max_ratio": rep.max_ratio, "paley_sup": sup_rep.sup,
             "sup_verdict": sup_rep.verdict}

@@ -33,33 +33,39 @@ a node:
 That is one 2M-point FFT per call and 2S terms per node, summed in passes
 of 128 nodes whose temporaries stay under the allocator's 128 KiB trim
 threshold (torus._CHUNK_BYTES), so that steady calls take no page faults:
-0.5 to 0.8 ms, as the machine's load varies, for the 1,920 nodes of blocks
--10..4 at M = 2048.  Against the dense sum (``_kernels.nudft``) the error
+about 0.45 ms for the 1,920 nodes of blocks -10..4 at M = 2048.  Against the
+dense sum (``_kernels.nudft``) the error
 is at most 2.1e-14 h ||f||_1 over M = 16 .. 2^15 and L = 0.5, 4, 64, 2,003
 nodes each (measured; an exact evaluation in Cooley-Tukey factored form is
 itself 3.1e-14 off at 2^15, from rounding).
-The FFT depends on the signal alone and the weights on the node alone, and
-the weights are not cheap: with their exponentials they take 9.8 of the
-26 us of a 128-node pass (38%).  So the nodes of a
-density block, which depend only on the window, have a plan
-(``_density_block``, the NUFFT plan of Barnett et al., SIAM J. Sci. Comput.
-41, 2019): the block's nodes and weights, each node's bin and its Gaussian
-weights, built once per window and block and kept in an LRU cache of
-_PLANS = 32 plans of about 31 KiB each.  ``mu_l2_sq`` on a density then
-takes one spectrum and one pass per block: 0.36 to 0.43 ms for blocks
--10..4 at M = 2048, where one ``fourier_transform`` at the same nodes takes
-0.56 ms (these timings on a 2-core Xeon, numpy 2.4).  Other node sets take
-their weights pass by pass.  A node's f_hat has the same bits alone, in any batch or by a
-plan, and a density block adds the same number to any range that holds it
-(``_sum_by_block``).
+The weights are complex, w + 0j, so that a pass multiplies its terms by them
+in one contiguous complex multiply: 13 us a pass, where float weights took
+18 us, most of it in two strided multiplies, one per part.  The products
+differ from the real ones at most in the sign of a zero, so every |f_hat|^2
+keeps its bits.  Step 1's factor depends on M alone and is built once per M
+(``_deconvolution``).  The FFT depends on the signal alone and the weights
+on the node alone, so the nodes of a density block, which depend only on the
+window, have a plan (``_density_block``, the NUFFT plan of Barnett et al.,
+SIAM J. Sci. Comput. 41, 2019): the block's nodes and weights, each node's
+bin and its Gaussian weights, built once per window and block and kept in an
+LRU cache of _PLANS = 32 plans of about 59 KiB each.  ``mu_l2_sq`` on a
+density then takes one spectrum and one pass per block: about 0.30 ms for
+blocks -10..4 at M = 2048 and 0.17 ms for blocks -2..4, where one
+``fourier_transform`` at the nodes of -10..4 takes 0.45 ms (medians over
+corpus signals in one process, on a 2-core Xeon, numpy 2.4).  Other node
+sets take their weights pass by pass.  A node's f_hat has the same bits
+alone, in any batch or by a plan, and a density block adds the same number
+to any range that holds it (``_sum_by_block``).
 
 On the dual grid xi_m = m/(2L) the transform is h (-1)^m fft(f)_m, and the
 factor cancels on the way back, so the dyadic blocks
 Delta_k f = ifft(eta(2^-k xi) fft(f)) are all read off one FFT of the
 samples, by the block loop the torus square function uses
-(torus._dyadic_blocks); this module takes forward FFTs only.  One rule,
-``_in_band``, holds node grids, density blocks and dyadic blocks to the
-band.
+(torus._dyadic_blocks), which inverts them in stacks of two at M = 2048,
+one inverse FFT a stack: of blocks -10..4, the nine blocks -4..4 meet the
+corpus window's dual grid, five stacks, and ``square_function_norm`` takes
+about 0.43 ms.  This module takes forward FFTs only.  One rule, ``_in_band``,
+holds node grids, density blocks and dyadic blocks to the band.
 
 Measures are plain data: atoms, or the density |xi|^-1 on the signed blocks
 k_min..k_max (``PaleyMeasure.inverse_abs``).  Atom integrals are point
@@ -79,6 +85,7 @@ block of width 2^k holds about 2 L 2^k periods of |f_hat|^2, which 64 fixed
 nodes do not follow.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -152,38 +159,49 @@ def _check_band(s: CompactSignal, top, what):
 
 
 # The Gaussian gridding of fourier_transform: _SPREAD grid bins on each side
-# of a node, and passes of _PASS nodes.  A pass holds a float weight and a
-# complex term for each of a node's 2 _SPREAD taps, 24 bytes a tap, and _PASS
-# is the largest power of two of nodes that keeps them under
+# of a node, and passes of _PASS nodes.  A pass holds a complex weight and a
+# complex term for each of a node's 2 _SPREAD taps, 32 bytes a tap, and
+# _PASS is the largest power of two of nodes that keeps them under
 # torus._CHUNK_BYTES, glibc's default mmap and trim threshold: a pass that
 # frees more than that at once returns its pages to the system, and the next
 # pass faults them in again.
 _SPREAD = 14
-_PASS = 1 << ((_CHUNK_BYTES // (24 * 2 * _SPREAD)).bit_length() - 1)
+_PASS = 1 << ((_CHUNK_BYTES // (32 * 2 * _SPREAD)).bit_length() - 1)
 _TAPS = np.arange(1.0 - _SPREAD, _SPREAD + 1.0)
 
 
 def _weights(frac):
     """The Gaussian weights e^{-3 pi (frac[j, 0] - t)^2 / (4 S)} of the nodes
-    j of a pass, which lie frac[j, 0] into their bin, for the taps t: the
-    one weight rule, of fourier_transform's passes and the density plans."""
+    j of a pass, which lie frac[j, 0] into their bin, for the taps t, as
+    complex numbers w + 0j: the one weight rule, of fourier_transform's
+    passes and the density plans."""
     weights = frac - _TAPS
     weights *= weights
     weights *= -0.75 * np.pi / _SPREAD
     np.exp(weights, out=weights)
-    return weights
+    return weights.astype(np.complex128)
 
 
 def _grid_pass(rows, weights, first, out):
     """One pass of the gridding: out[j] is the sum over the taps t of
     weights[j, t] rows[first[j], t], where rows[m] is the window of 2 S
-    spectrum bins that starts at bin m."""
+    spectrum bins that starts at bin m.  The weights are complex with a zero
+    imaginary part, so the product is one contiguous complex multiply whose
+    parts are the real products, up to the sign of a zero."""
     terms = rows[first]
-    # the parts one by one, the same products: terms *= weights would cast
-    # the weights through a complex buffer as large as terms
-    terms.real *= weights
-    terms.imag *= weights
+    terms *= weights
     np.add.reduce(terms, axis=1, out=out)
+
+
+@functools.lru_cache(maxsize=2)
+def _deconvolution(size):
+    """Step 1's factor e^{tau n^2} for the centred index n of M = size
+    samples, with tau M^2 = pi S / 3: it depends on M alone, so it is built
+    once per M and kept, read-only, for the last two sizes (16 KiB at M =
+    2048)."""
+    factor = np.exp((np.pi * _SPREAD / 3) * (np.arange(-(size // 2), size // 2) / size) ** 2)
+    factor.flags.writeable = False
+    return factor
 
 
 def _spectrum_rows(s: CompactSignal):
@@ -192,21 +210,20 @@ def _spectrum_rows(s: CompactSignal):
     on of the periodically extended spectrum, a node in bin b (u = N x
     rounded down) reads the row b + offset, and f_hat is gain times the sum
     of its taps."""
-    M = s.size
-    # e^{tau n^2} for the centred index n, with tau M^2 = pi S / 3
-    deconvolved = s.values * np.exp((np.pi * _SPREAD / 3)
-                                    * (np.arange(-(M // 2), M // 2) / M) ** 2)
+    M, half = s.size, s.size // 2
+    factor = _deconvolution(M)
+    # the deconvolved samples, multiplied straight into the two ends of the
+    # zero-padded buffer, which takes the FFT in place
     padded = np.zeros(2 * M, dtype=np.complex128)
-    padded[:M // 2] = deconvolved[M // 2:]
-    padded[-(M // 2):] = deconvolved[:M // 2]
-    # drop each array once read: held to the end of the call, they would be
-    # freed together, over _CHUNK_BYTES at once, and in some heap layouts the
-    # next call would fault their pages in again
-    del deconvolved
-    spectrum = np.fft.fft(padded)
+    np.multiply(s.values[half:], factor[half:], out=padded[:half])
+    np.multiply(s.values[:half], factor[:half], out=padded[-half:])
+    np.fft.fft(padded, out=padded)
+    edge = half + _SPREAD
+    spectrum = np.concatenate([padded[-edge:], padded[:edge + 1]])
+    # drop the buffer once read: held to the end of the call, it and the
+    # caller's arrays would be freed together, over _CHUNK_BYTES at once,
+    # and in some heap layouts the next call would fault their pages in again
     del padded
-    edge = M // 2 + _SPREAD
-    spectrum = np.concatenate([spectrum[-edge:], spectrum[:edge + 1]])
     # row m: the 2 S bins from bin m on, a view (sliding_window_view without
     # its 10 us of checks)
     rows = np.lib.stride_tricks.as_strided(
@@ -237,21 +254,27 @@ def fourier_transform(s: CompactSignal, freq_grid) -> np.ndarray:
 
 
 def _blocks(s: CompactSignal, ks):
-    """The samples of Delta_k f = ifft(eta(2^-k xi) fft(f)) for the k in ks,
-    by torus._dyadic_blocks on one FFT of s over the dual grid xi_m = m/(2L),
-    m = 0..M/2-1, -M/2..-1 (see the module docstring).  A block outside the
-    validity band, 4 * 2^k > band, is rejected here, before any block is
-    made (past k = 1021, 4 * 2^k is inf)."""
-    for k in ks:
-        _check_band(s, 4.0 * 2.0 ** min(int(k), 1022), f"block {k}")
+    """The samples of Delta_k f = ifft(eta(2^-k xi) fft(f)) for the k of the
+    increasing sequence ks, as the stacks of torus._dyadic_blocks on one FFT
+    of s over the dual grid xi_m = m/(2L), m = 0..M/2-1, -M/2..-1 (see the
+    module docstring).  A block outside the validity band, 4 * 2^k > band,
+    is rejected here, before any block is made (past k = 1021, 4 * 2^k is
+    inf): the top block is checked, and only if it is out are the blocks
+    from default_k_range's top on walked, to name the first one out."""
+    def top(k):
+        return 4.0 * 2.0 ** min(int(k), 1022)
+
+    if ks and not _in_band(s, top(ks[-1])):
+        for k in ks[bisect.bisect_left(ks, default_k_range(s)[1]):]:
+            _check_band(s, top(k), f"block {k}")
     m = np.fft.fftfreq(s.size, d=1.0 / s.size).astype(np.int64)
     return _dyadic_blocks(np.fft.fft(s.values), m / (2.0 * s.half_width), ks, "backward")
 
 
 def lp_block(s: CompactSignal, k) -> CompactSignal:
     """The dyadic frequency block: multiply f_hat by eta(2**-k xi), invert."""
-    return CompactSignal(next(_blocks(s, [k]), np.zeros(s.size, dtype=np.complex128)),
-                         s.half_width)
+    stack = next(_blocks(s, [k]), np.zeros((1, s.size), dtype=np.complex128))
+    return CompactSignal(stack[0], s.half_width)
 
 
 def default_k_range(s: CompactSignal):
@@ -313,9 +336,10 @@ class _DensityPlan:
     weights: np.ndarray
 
 
-# Plans kept at once: about 31 KiB each, the (128, 28) Gaussian weights and
-# three 128-vectors, so about 1 MiB in all; the corpus window's Paley
-# blocks -10..4 take 15, and its Zygmund blocks -2..4 are among them.
+# Plans kept at once: about 59 KiB each, the (128, 28) complex Gaussian
+# weights and three 128-vectors, so about 1.9 MiB in all; the corpus
+# window's Paley blocks -10..4 take 15, 0.87 MiB, and its Zygmund blocks
+# -2..4 are among them.
 _PLANS = 32
 
 
@@ -425,10 +449,13 @@ class PaleyMeasure:
         _sum_by_block gives it for that block alone: the row sums of the
         _nodes weights of the range, added into their blocks in order (a
         density block is one row, an atom block its atoms from 0.0); a block
-        outside the measure has mass 0.0."""
+        outside the measure has mass 0.0.  A range of more blocks than the
+        grid budget (torus.check_budget) raises ValueError first."""
         k_lo, k_hi = int(k_lo), int(k_hi)
+        count = max(0, k_hi - k_lo + 1)
+        check_budget(count, f"the mass table of blocks {k_lo}..{k_hi}")
         _, ws, ks = self._nodes((k_lo, k_hi))
-        masses = np.zeros(max(0, k_hi - k_lo + 1))
+        masses = np.zeros(count)
         np.add.at(masses, ks - k_lo, ws.sum(axis=1))
         return masses.tolist()
 

@@ -14,23 +14,38 @@ import numpy as np
 
 def eta(xi):
     """Evaluate the window at xi (scalar or array)."""
-    t = np.abs(np.asarray(xi, dtype=float))
+    return _eta_of_abs(np.abs(np.asarray(xi, dtype=float)))
+
+
+def _eta_of_abs(t):
+    """eta at t = |xi|, a new array or a float, computed in t's own buffer,
+    so that a table of eta needs one scratch array of its size."""
+    t = np.asarray(t)
     # 2 min(t - 1, (3 - t) / 2) is min(2 (t - 1), 3 - t) bit for bit, and
     # does not overflow for t near the float maximum
-    out = np.clip(2.0 * np.minimum(t - 1.0, 0.5 * (3.0 - t)), 0.0, 1.0)
-    return out if out.ndim else float(out)
+    down = 3.0 - t
+    down *= 0.5
+    t -= 1.0
+    np.minimum(t, down, out=t)
+    del down
+    t *= 2.0
+    np.clip(t, 0.0, 1.0, out=t)
+    return t if t.ndim else float(t)
 
 
 def eta_scaled(xi, k):
-    """eta(2**-k * xi), computed as a division by 2**k.
+    """eta(2**-k * xi), computed as a division by the exact power of two
+    np.ldexp(1.0, k).  k is an integer or an integer array, which broadcasts
+    against xi: k of shape (rows, 1) gives one row of the table per scale.
 
     Exact for every finite xi and every integer k in -1074..1023, where 2**k
     is a nonzero float: dividing by a power of two is exact unless the
     quotient overflows (|xi| 2**-k > 3, where eta is 0) or loses bits below
-    the normal range (|xi| 2**-k < 1, where eta is 0 too).  Past 1023, 2**k
-    raises OverflowError; below -1074 it is 0, and the value at xi = 0 is
-    0/0.  torus._dyadic_blocks evaluates no scale outside the range."""
-    return eta(np.asarray(xi, dtype=float) / 2.0 ** float(k))
+    the normal range (|xi| 2**-k < 1, where eta is 0 too).  Past 1023 the
+    scale overflows to inf, with numpy's overflow warning; below -1074 it is
+    0, and the value at xi = 0 is 0/0.  torus._dyadic_blocks evaluates no
+    scale outside the range."""
+    return _eta_of_abs(np.abs(np.divide(xi, np.ldexp(1.0, k), dtype=float)))
 
 
 def blocks_meeting(lo, hi):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -243,6 +245,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_a_far_below_block_range_finishes(self):
+        # a range reaching 10^8 blocks below the float range is not walked
+        # block by block, and paley_sup's one float a block is refused by
+        # the budget before it is allocated; a fresh process, so that a hang
+        # fails by its timeout
+        src = os.path.dirname(os.path.dirname(os.path.abspath(realline.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "paleyzyg.cli", "rline-paley", "--measure", "atoms:3,1",
+             "--k-min", "-100000000", "--k-max", "2", "--corpus", "1"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr == ("error: the mass table of blocks -100000000..2 needs 100000003 "
+                              "points, over the budget of 16777216 (--k-min..--k-max)\n")
 
     def test_rline_zygmund_reads_atoms_past_the_window_top(self, capsys):
         # the Zygmund probe reads no square function, so atoms in the band

@@ -202,6 +202,27 @@ class TestBlocks:
             assert not lp_block(s, -1100).values.any()
         assert got.hex() == square_function_norm(s, (-10, 2)).hex()
 
+    def test_far_below_ranges_are_not_walked(self):
+        # the blocks of a range are intersected with the few that meet the
+        # dual grid, and one band check reads the top block
+        s = random_mean_zero_corpus(1)[0]
+        want = square_function_norm(s, (-10, 2))
+        assert square_function_norm(s, (-10 ** 12, 2)) == want
+        assert not lp_block(s, -10 ** 12).values.any()
+        with pytest.raises(ValueError, match=r"^block 5 lies outside the validity band"):
+            square_function_norm(s, (-10 ** 12, 10 ** 12))
+
+    def test_a_mass_table_past_the_budget_is_refused(self, monkeypatch):
+        mu = PaleyMeasure.from_atoms([(3.0, 1.0)])
+        with pytest.raises(ValueError, match=r"^the mass table of blocks -100000000\.\.2 needs "
+                                             r"100000003 points, over the budget of 16777216$"):
+            paley_sup(mu, (-10 ** 8, 2))
+        # at a small cap: a table of the cap's size is made, one more block is not
+        monkeypatch.setattr(torus, "_MAX_GRID_POINTS", 64)
+        assert paley_sup(mu, (-61, 2)).sup == 1.0
+        with pytest.raises(ValueError, match=r"^the mass table of blocks -62\.\.2 needs 65 points"):
+            paley_sup(mu, (-62, 2))
+
 
 class TestPaleyMeasure:
     def test_atoms_block_mass(self):
@@ -410,15 +431,16 @@ class TestBlockTables:
                 assert mu_l2_sq(mu, s, k_range) == total
 
     def test_a_pass_fits_its_byte_budget(self):
-        # _PASS is the largest power of two of nodes whose weights and terms,
-        # 24 bytes a tap, fit in torus._CHUNK_BYTES; tracemalloc sees all
-        # that a pass of fourier_transform allocates, its weights and
-        # numpy's casting buffers included
+        # _PASS is the largest power of two of nodes whose complex weights
+        # and terms, 32 bytes a tap, fit in torus._CHUNK_BYTES; tracemalloc
+        # sees all that a pass of fourier_transform allocates, its weights
+        # and numpy's casting buffers included
         S, P, budget = realline._SPREAD, realline._PASS, torus._CHUNK_BYTES
-        assert P & (P - 1) == 0 and P * 2 * S * 24 <= budget < 2 * P * 2 * S * 24
+        assert P & (P - 1) == 0 and P * 2 * S * 32 <= budget < 2 * P * 2 * S * 32
         rows = np.lib.stride_tricks.sliding_window_view(np.ones(4 * P, complex), 2 * S)
         frac, first = np.linspace(0.0, 0.99, P)[:, None], 3 * np.arange(P)
         out = np.empty(P, dtype=complex)
+        assert realline._weights(frac).dtype == np.complex128
         realline._grid_pass(rows, realline._weights(frac), first, out)
         tracemalloc.start()
         try:
@@ -430,6 +452,95 @@ class TestBlockTables:
         # a density block's plan, which outlives the call, fits it too
         plan = realline._density_block(4.0, 0)
         assert sum(a.nbytes for a in (plan.xs, plan.ws, plan.bins, plan.weights)) < budget
+
+    def test_complex_weights_keep_the_bits_of_the_float_products(self):
+        # (a + bi)(w + 0i) differs from (a w) + (b w) i at most in the sign
+        # of a zero, so every |f_hat|^2 keeps its bits
+        rng = np.random.default_rng(5)
+        rows = np.lib.stride_tricks.sliding_window_view(
+            rng.standard_normal(600) + 1j * rng.standard_normal(600), 2 * realline._SPREAD)
+        frac, first = rng.random(realline._PASS)[:, None], rng.integers(0, 500, realline._PASS)
+        weights = realline._weights(frac)
+        assert not weights.imag.any()
+        terms = rows[first]
+        terms.real *= weights.real
+        terms.imag *= weights.real
+        out = np.empty(realline._PASS, dtype=complex)
+        realline._grid_pass(rows, weights, first, out)
+        assert np.array_equal(np.abs(out), np.abs(terms.sum(axis=1)))
+
+    def test_the_deconvolution_factor_is_built_once_per_size(self):
+        for size in (2048, 4096, 2048):
+            factor = realline._deconvolution(size)
+            n = np.arange(-(size // 2), size // 2)
+            assert np.array_equal(factor, np.exp((np.pi * realline._SPREAD / 3) * (n / size) ** 2))
+            assert not factor.flags.writeable
+        assert realline._deconvolution(2048) is realline._deconvolution(2048)
+        info = realline._deconvolution.cache_info()
+        assert info.maxsize == 2 and info.currsize <= 2
+
+    @pytest.mark.parametrize("size, rows", [(2048, 2), (4096, 1)])
+    def test_a_square_function_fits_its_byte_budget(self, size, rows):
+        # the square function holds acc, 8 bytes a sample, and one stack at
+        # a time with its eta table or its |Delta|^2, 24 bytes a point, each
+        # dropped before the next stack is made.  At M = 4096 those arrays
+        # are 128 KiB, the budget itself, and tracemalloc counts their
+        # headers on top
+        budget = torus._CHUNK_BYTES
+        assert max(1, budget // (32 * size)) == rows
+        rng = np.random.default_rng(size)
+        s = CompactSignal(rng.standard_normal(size) + 1j * rng.standard_normal(size), 4.0)
+        spec, xi = np.fft.fft(s.values), np.fft.fftfreq(size, d=s.h)
+        ks = range(-10, default_k_range(s)[1] + 1)
+
+        def square_function():
+            return torus._square_function(torus._dyadic_blocks(spec, xi, ks, "backward"), size)
+
+        square_function()
+        tracemalloc.start()
+        try:
+            square_function()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (24 * rows + 8) * size + 2048
+        if rows > 1:
+            assert peak <= budget
+
+    @pytest.mark.parametrize("size", [2 ** e for e in range(4, 14)])
+    def test_stacks_have_the_bits_of_one_block_at_a_time(self, size):
+        # every row of a stack equals the block's own inverse FFT, at every
+        # stack height; at M = 2048 the nine blocks -4..4 come as four
+        # stacks of two and a last stack of one
+        rng = np.random.default_rng(size)
+        s = CompactSignal(rng.standard_normal(size) + 1j * rng.standard_normal(size), 4.0)
+        spec, xi = np.fft.fft(s.values), np.fft.fftfreq(size, d=s.h)
+        ks = range(-12, default_k_range(s)[1] + 1)
+        rows = max(1, torus._CHUNK_BYTES // (32 * size))
+        stacks = list(torus._dyadic_blocks(spec, xi, ks, "backward"))
+        meeting = [k for k in window.blocks_meeting(1 / 8, size / 16) if k in ks]
+        assert [len(stack) for stack in stacks] == [
+            min(rows, len(meeting) - lo) for lo in range(0, len(meeting), rows)]
+        got = [row for stack in stacks for row in stack]
+        for k, row in zip(meeting, got, strict=True):
+            assert np.array_equal(row, np.fft.ifft(window.eta_scaled(xi, k) * spec))
+            assert np.array_equal(lp_block(s, k).values, row)
+
+    def test_one_inverse_fft_per_stack(self, monkeypatch):
+        # the corpus window meets blocks -4..6, so blocks -10..4 read nine
+        # blocks in stacks of two at M = 2048: five inverse FFTs
+        s = random_mean_zero_corpus(1)[0]
+        want = square_function_norm(s, (-10, 4))
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        assert square_function_norm(s, (-10, 4)) == want
+        assert calls == [(2, 2048)] * 4 + [(1, 2048)]
 
     @pytest.mark.parametrize("half_width", [0.5, 4.0, 64.0])
     def test_a_plan_holds_the_nodes_rows_and_their_weights(self, half_width):
@@ -500,17 +611,24 @@ class TestBlockTables:
                         reason="the budget is glibc's default trim threshold")
     def test_steady_calls_take_no_page_faults(self):
         # a fresh interpreter, whose allocator thresholds no other test has
-        # moved; with 512-node passes each call took 150 to 200 minor faults
+        # moved, runs whole items of the benchmark: both probes, and so both
+        # density integrals and the square function.  With 512-node passes
+        # each mu_l2_sq took 150 to 200 minor faults, and with stacks of four
+        # blocks each item took over 100
         probe = (
             "import resource\n"
-            "from paleyzyg import PaleyMeasure, mu_l2_sq, random_mean_zero_corpus\n"
-            "mu = PaleyMeasure.inverse_abs(-10, 4)\n"
+            "from paleyzyg import (PaleyMeasure, paley_inequality_probe,\n"
+            "                      random_mean_zero_corpus, zygmund_realline_probe)\n"
+            "paley, zygmund = PaleyMeasure.inverse_abs(-10, 4), PaleyMeasure.inverse_abs(-2, 4)\n"
             "s = random_mean_zero_corpus(1)[0]\n"
+            "def item():\n"
+            "    paley_inequality_probe(paley, [s])\n"
+            "    zygmund_realline_probe(zygmund, s)\n"
             "for _ in range(5):\n"
-            "    mu_l2_sq(mu, s)\n"
+            "    item()\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "for _ in range(50):\n"
-            "    mu_l2_sq(mu, s)\n"
+            "    item()\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(realline.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -888,7 +888,7 @@ def dyadic_blocks_by_scale(p, ks):
     spec = np.zeros(grid, dtype=np.complex128)
     np.add.at(spec, p.freqs[:, 0] % grid, p.values)
     xi = np.fft.fftfreq(grid, d=1.0 / grid)
-    return {k: block for k in ks for block in torus._dyadic_blocks(spec, xi, [k], "forward")}
+    return {k: stack[0] for k in ks for stack in torus._dyadic_blocks(spec, xi, [k], "forward")}
 
 
 def per_block_square_function_norm(p):
@@ -941,6 +941,46 @@ class TestSquareFunction:
         p = random_poly(np.random.default_rng([degree, count]), 1, degree, count)
         assert torus.grid_size(p.degree, torus.SUP_L1_FACTOR) < torus._SPLIT_MIN_POINTS
         assert periodic_square_function_norm(p) == per_block_square_function_norm(p)
+
+    @pytest.mark.parametrize("grid", [2 ** e for e in range(4, 14)])
+    def test_stacks_have_the_bits_of_one_block_at_a_time(self, grid):
+        # stacks of max(1, _CHUNK_BYTES // (32 M)) blocks, each row equal to
+        # the block's own inverse FFT: one stack below 2^8 points, stacks of
+        # 2^7 .. 2 blocks up to 2^11 and one block a stack from 2^12 on
+        rng = np.random.default_rng(grid)
+        spec = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+        spec[0] = 0.0
+        xi = np.fft.fftfreq(grid, d=1.0 / grid)
+        ks = range(-1, grid.bit_length() - 2)
+        rows = max(1, torus._CHUNK_BYTES // (32 * grid))
+        stacks = list(torus._dyadic_blocks(spec, xi, ks, "forward"))
+        meeting = [k for k in window.blocks_meeting(1, grid // 2) if k in ks]
+        assert [len(stack) for stack in stacks] == [
+            min(rows, len(meeting) - lo) for lo in range(0, len(meeting), rows)]
+        got = [row for stack in stacks for row in stack]
+        for k, row in zip(meeting, got, strict=True):
+            assert np.array_equal(row, np.fft.ifft(window.eta_scaled(xi, k) * spec,
+                                                   norm="forward"))
+
+    def test_one_inverse_fft_per_block_from_two_to_the_twelve(self, monkeypatch):
+        # a 2^13-point grid holds one block a stack
+        p = random_poly(np.random.default_rng(13), 1, 1000, 40)
+        grid = torus.grid_size(p.degree, torus.SUP_L1_FACTOR)
+        assert grid == 2 ** 13
+        mags = np.abs(p.freqs[:, 0][p.freqs[:, 0] != 0])
+        blocks = [k for k in window.blocks_meeting(int(mags.min()), int(mags.max()))
+                  if -1 <= k < grid.bit_length() - 2]
+        want = periodic_square_function_norm(p)
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        assert periodic_square_function_norm(p) == want
+        assert calls == [(1, grid)] * len(blocks)
 
     @pytest.mark.parametrize("table", ["sparse", "vallee_poussin"])
     def test_per_block_tables_on_large_grids(self, table):

@@ -48,6 +48,37 @@ def test_scaled_window_huge_scales():
     assert window.eta_scaled(2.0 ** 781, 781) == 0.0
 
 
+def old_eta(xi):
+    """The window as one whole-array expression: the reference for eta's
+    in-place steps."""
+    t = np.abs(np.asarray(xi, dtype=float))
+    out = np.clip(2.0 * np.minimum(t - 1.0, 0.5 * (3.0 - t)), 0.0, 1.0)
+    return out if out.ndim else float(out)
+
+
+def test_a_scale_array_gives_one_row_per_scale_with_the_bits_of_each():
+    # the division by np.ldexp(1.0, k) is the division by 2.0 ** k, and eta's
+    # in-place steps are the whole-array expression, over -1074..1023
+    rng = np.random.default_rng(4)
+    ks = np.array([-1074, -1073, -1022, -600, -3, 0, 1, 2, 600, 1022, 1023])
+    xi = np.concatenate([np.ldexp(rng.uniform(-3.5, 3.5, 64), rng.integers(-1080, 1024, 64)),
+                         [0.0, -0.0, 1.0, 1.5, 2.0, 3.0, 5 / 3, np.finfo(float).max]])
+    with np.errstate(over="ignore"):
+        table = window.eta_scaled(xi, ks[:, None])
+        assert table.shape == (len(ks), len(xi))
+        for k, row in zip(ks.tolist(), table):
+            want = old_eta(xi / 2.0 ** float(k))
+            assert np.array_equal(row, want)
+            assert np.array_equal(window.eta_scaled(xi, k), want)
+    for x in xi[:8].tolist():
+        assert window.eta(x) == old_eta(x) and isinstance(window.eta(x), float)
+
+
+def test_a_scale_past_the_float_range_warns():
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        window.eta_scaled(1.0, 1024)
+
+
 def test_inverse_transform_matches_riemann_sum():
     xs = np.array([0.0, 0.1, 0.37, 1.2])
     s = np.linspace(1.0, 3.0, 60_001)
